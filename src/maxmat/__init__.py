@@ -56,7 +56,6 @@ from .evolution import (
     integrate_matter,
     make_initial,
     mollified_fixed_point,
-    rhs_full,
     run,
     step,
 )
@@ -66,7 +65,6 @@ from .quasistatic import (
     ReducedResult,
     eta_convergence_study,
     reduced_rhs,
-    rhs_eta,
     run_reduced,
     slaved_field,
     with_eta,

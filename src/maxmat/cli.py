@@ -27,7 +27,7 @@ from .evolution import (
 from .grid import extend_by_zero, matter_l2_norm, save_fields, weighted_norm
 from .helmholtz import ProjectionSolveError
 from .quasistatic import eta_convergence_study, run_reduced
-from .scenario import ConfigError, Scenario, load_scenario, study_with_threads
+from .scenario import ConfigError, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,26 +41,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="path to a scenario config file")
+    def scenario_command(name, help_text, flags):
+        """A subcommand on a scenario file, with only the flags it reads."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("scenario", help="path to a scenario config file")
         p.add_argument("--out-dir", default=".", help="directory for CSV and snapshot output")
-        p.add_argument("--snapshots", type=int, default=0, metavar="STRIDE",
-                       help="write field snapshots every STRIDE steps (0 = never)")
-        p.add_argument("--seed", type=int, default=None, metavar="U64",
-                       help="override the field seed in the scenario")
-        p.add_argument("--threads", type=int, default=1, metavar="K",
-                       help="worker threads for independent runs")
+        if "snapshots" in flags:
+            p.add_argument("--snapshots", type=int, default=0, metavar="STRIDE",
+                           help="write field snapshots every STRIDE steps (0 = never)")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None, metavar="U64",
+                           help="override the field seed in the scenario")
+        if "threads" in flags:
+            p.add_argument("--threads", type=int, default=1, metavar="K",
+                           help="worker threads for independent runs")
+        return p
 
-    common(sub.add_parser("run", help="integrate the full coupled system"))
-    common(sub.add_parser("reduced", help="integrate the limit model"))
-    common(sub.add_parser("quasistatic-study", help="sweep eta and fit the decay rate"))
-    cmp_p = sub.add_parser("compare-mollified", help="fixed-point construction vs reference")
-    common(cmp_p)
+    scenario_command("run", "integrate the full coupled system", ("snapshots", "seed"))
+    scenario_command("reduced", "integrate the limit model", ("snapshots",))
+    scenario_command("quasistatic-study", "sweep eta and fit the decay rate", ("seed", "threads"))
+    cmp_p = scenario_command("compare-mollified", "fixed-point construction vs reference", ("seed",))
     cmp_p.add_argument("--n-list", default="4,8,16,32", metavar="N1,N2,...",
                        help="low-pass indices to construct")
-    val_p = sub.add_parser("validate", help="run the built-in invariant suite")
-    common(val_p, scenario=False)
+    sub.add_parser("validate", help="run the built-in invariant suite")
     return parser
 
 
@@ -131,7 +134,7 @@ def _cmd_study(args) -> int:
         raise ConfigError("quasistatic", "scenario has no quasistatic section")
     system = scn.build_system()
     state = scn.initial_state(system, seed=args.seed)
-    cfg = study_with_threads(scn.study, args.threads)
+    cfg = dataclasses.replace(scn.study, threads=args.threads)
     result = eta_convergence_study(system, state, cfg)
     out = _out_dir(args)
     rows = []

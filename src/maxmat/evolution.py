@@ -174,11 +174,6 @@ class SimSystem:
         return FreePropagator(self.coeffs, self.ws)
 
 
-def rhs_full(system: SimSystem, state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """Full right-hand side (du, dv) at the given state."""
-    return system.tendencies(state.u, state.v)
-
-
 def make_initial(
     system: SimSystem, v_init: np.ndarray, u_free: np.ndarray | None = None
 ) -> SimState:
@@ -202,14 +197,38 @@ def make_initial(
     return SimState(t=0.0, u=u, v=v_init.copy())
 
 
+def _rk4(f, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of y' = f(*y) over a tuple of arrays."""
+    k1 = f(*y)
+    k2 = f(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = f(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = f(*(a + dt * k for a, k in zip(y, k3)))
+    return tuple(
+        a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+    )
+
+
+def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
+    """RK4 on v' = f(v), sampled at t=0, every ``stride`` steps and at the end.
+
+    Returns (times, values); raises :class:`NumericalAbort` as soon as
+    the state stops being finite.
+    """
+    v = v0.copy()
+    times, values = [0.0], [v.copy()]
+    for i in range(1, n_steps + 1):
+        (v,) = _rk4(lambda w: (f(w),), (v,), dt)
+        if not np.isfinite(v).all():
+            raise NumericalAbort(f"non-finite matter state at t={i * dt:.6g} (step {i})")
+        if i % stride == 0 or i == n_steps:
+            times.append(i * dt)
+            values.append(v.copy())
+    return np.asarray(times), np.asarray(values)
+
+
 def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
-    u, v = state.u, state.v
-    k1u, k1v = system.tendencies(u, v)
-    k2u, k2v = system.tendencies(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = system.tendencies(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = system.tendencies(u + dt * k3u, v + dt * k3v)
-    un = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    un, vn = _rk4(system.tendencies, (state.u, state.v), dt)
     return SimState(state.t + dt, un, vn)
 
 
@@ -358,25 +377,14 @@ def integrate_matter(
 
     Returns (times, values) with values[k] the state at times[k]. Used
     for closed-form cross-checks where the field back-reaction is off.
+    Raises :class:`NumericalAbort` on a non-finite state.
     """
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     em = np.atleast_2d(np.asarray(em, dtype=float))
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
-    v = v0.copy()
-    times = [0.0]
-    values = [v.copy()]
-    for i in range(1, n_steps + 1):
-        k1 = model.eval_F(v, em)
-        k2 = model.eval_F(v + 0.5 * dt * k1, em)
-        k3 = model.eval_F(v + 0.5 * dt * k2, em)
-        k4 = model.eval_F(v + dt * k3, em)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if i % sample_stride == 0 or i == n_steps:
-            times.append(i * dt)
-            values.append(v.copy())
-    return np.asarray(times), np.asarray(values)
+    return _rk4_path(lambda v: model.eval_F(v, em), v0, n_steps, dt, sample_stride)
 
 
 @dataclass(frozen=True)

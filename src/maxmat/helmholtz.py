@@ -72,9 +72,7 @@ def project_complement(
 
     if float(np.ptp(kappa)) == 0.0:
         # Constant weight: grad phi = xi (xi . vhat) / |xi|^2 mode by mode.
-        vhat = ws.forward(v)
-        proj = ws.khat * np.einsum("c...,c...->...", ws.khat, vhat)
-        return ws.inverse(proj)
+        return ws.inverse(ws.longitudinal(ws.forward(v)))
 
     b = -_div(kappa * v, ws)
     b -= b.mean()
@@ -122,12 +120,7 @@ def project_P(
     config: ProjectorConfig | None = None,
 ) -> np.ndarray:
     """Divergence-free part of an EM state, slot by slot in its own weight."""
-    if state.shape != (6,) + ws.grid.shape:
-        raise ValueError(f"expected an EM state on {ws.grid.shape}, got {state.shape}")
-    out = np.empty_like(state)
-    out[0:3] = state[0:3] - project_complement(state[0:3], coeffs.kappa1, ws, config)
-    out[3:6] = state[3:6] - project_complement(state[3:6], coeffs.kappa2, ws, config)
-    return out
+    return state - project_complement_state(state, coeffs, ws, config)
 
 
 def project_complement_state(

@@ -26,14 +26,14 @@ from math import ceil
 
 import numpy as np
 
+from .diagnostics import fit_loglog
 from .evolution import (
     IntegratorConfig,
     NumericalAbort,
     SimState,
     SimSystem,
-    _lawson_step,
-    _rk4_step,
-    rhs_full,
+    _rk4_path,
+    run,
 )
 from .grid import extend_by_zero, matter_l2_norm, restrict_to_domain
 from .helmholtz import project_complement
@@ -51,11 +51,6 @@ def with_eta(system: SimSystem, eta: float) -> SimSystem:
     return out
 
 
-def rhs_eta(system: SimSystem, state: SimState, eta: float):
-    """Right-hand side of the scaled system: du = -(1/eta) B u + source."""
-    return rhs_full(with_eta(system, eta), state)
-
-
 def slaved_field(system: SimSystem, v: np.ndarray) -> np.ndarray:
     """Curl-free field enslaved to the matter state, coupled slot only.
 
@@ -71,8 +66,7 @@ def slaved_field(system: SimSystem, v: np.ndarray) -> np.ndarray:
 
 def _slaved_sample(system: SimSystem, v: np.ndarray) -> np.ndarray:
     em = np.zeros((6, system.domain.count))
-    slot = slice(0, 3) if system.model.em_slot == 1 else slice(3, 6)
-    em[slot] = restrict_to_domain(slaved_field(system, v), system.domain)
+    em[system._slot] = restrict_to_domain(slaved_field(system, v), system.domain)
     return em
 
 def reduced_rhs(system: SimSystem, v: np.ndarray) -> np.ndarray:
@@ -102,34 +96,19 @@ def run_reduced(
     The scheme field of ``cfg`` is ignored: the limit model has no stiff
     part, classical RK4 is always used.
     """
-    v = np.atleast_2d(np.asarray(v_init, dtype=float)).copy()
+    v = np.atleast_2d(np.asarray(v_init, dtype=float))
     if v.shape != (system.model.dim, system.domain.count):
         raise ValueError(
             f"matter state must have shape {(system.model.dim, system.domain.count)}, "
             f"got {v.shape}"
         )
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    times = [0.0]
-    samples = [v.copy()]
-    for i in range(1, n_steps + 1):
-        k1 = reduced_rhs(system, v)
-        k2 = reduced_rhs(system, v + 0.5 * dt * k1)
-        k3 = reduced_rhs(system, v + 0.5 * dt * k2)
-        k4 = reduced_rhs(system, v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(v).all():
-            raise NumericalAbort(f"non-finite matter state at t={i * dt:.6g} (reduced run)")
-        if i % sample_stride == 0 or i == n_steps:
-            times.append(i * dt)
-            samples.append(v.copy())
-    u = np.zeros((6,) + system.grid.shape)
-    slot = slice(0, 3) if system.model.em_slot == 1 else slice(3, 6)
-    u[slot] = slaved_field(system, v)
-    final = SimState(t=cfg.t_end, u=u, v=v)
-    return ReducedResult(
-        times=np.asarray(times), v_samples=np.asarray(samples), state=final
+    times, samples = _rk4_path(
+        lambda w: reduced_rhs(system, w), v, cfg.n_steps, cfg.dt, sample_stride
     )
+    u = np.zeros((6,) + system.grid.shape)
+    u[system._slot] = slaved_field(system, samples[-1])
+    final = SimState(t=cfg.t_end, u=u, v=samples[-1].copy())
+    return ReducedResult(times=times, v_samples=samples, state=final)
 
 
 @dataclass(frozen=True)
@@ -189,8 +168,7 @@ def _pu_local_norm(system: SimSystem, u: np.ndarray, ball: np.ndarray) -> float:
     ws = system.ws
     uhat = ws.forward(u)
     for sl in (slice(0, 3), slice(3, 6)):
-        par = ws.khat * np.einsum("c...,c...->...", ws.khat, uhat[sl])
-        uhat[sl] -= par
+        uhat[sl] -= ws.longitudinal(uhat[sl])
         uhat[sl][..., 0, 0, 0] = 0.0
     pu = ws.inverse(uhat)
     sq = np.einsum("cijk,cijk->ijk", pu, pu)
@@ -204,34 +182,25 @@ def _eta_run(
     cfg: EtaStudyConfig,
     ball: np.ndarray,
 ):
-    """One scaled run; returns (pu_series, v_samples) on the sample grid."""
+    """One scaled run; returns (pu_series, v_samples, dt) on the sample grid."""
+    if not system.coeffs.is_constant:
+        raise ValueError("eta study needs constant coefficients")
     sys_eta = with_eta(system, eta)
     if cfg.scheme == "lawson_exp":
-        if not system.coeffs.is_constant:
-            raise ValueError("lawson_exp study needs constant coefficients")
         dt_wanted = min(cfg.dt, cfg.stiff_dt_factor * eta)
     else:
         dt_wanted = min(cfg.dt, sys_eta.cfl_limit(cfg.cfl_factor))
     n_sub = max(1, ceil(cfg.sample_dt / dt_wanted - 1e-12))
     dt = cfg.sample_dt / n_sub
-    prop = sys_eta.free_propagator() if cfg.scheme == "lawson_exp" else None
 
-    n_samples = int(round(cfg.t_obs / cfg.sample_dt))
-    state = state0.copy()
-    pu = [_pu_local_norm(sys_eta, state.u, ball)]
-    v_samples = [state.v.copy()]
-    for k in range(1, n_samples + 1):
-        for _ in range(n_sub):
-            if prop is not None:
-                state = _lawson_step(sys_eta, state, dt, prop)
-            else:
-                state = _rk4_step(sys_eta, state, dt)
-        state.t = k * cfg.sample_dt
-        if not np.isfinite(state.u).all() or not np.isfinite(state.v).all():
-            raise NumericalAbort(f"non-finite state at t={state.t:.6g} (eta={eta})")
-        pu.append(_pu_local_norm(sys_eta, state.u, ball))
-        v_samples.append(state.v.copy())
-    return np.asarray(pu), np.asarray(v_samples), dt
+    v_samples = []
+    _, records, _ = run(
+        sys_eta, state0,
+        IntegratorConfig(dt, t_end=cfg.t_obs, scheme=cfg.scheme, cfl_factor=cfg.cfl_factor),
+        monitors={"pu": lambda s, st: _pu_local_norm(s, st.u, ball)}, stride=n_sub,
+        snapshot_cb=lambda s, st, i: v_samples.append(st.v.copy()), snapshot_stride=n_sub,
+    )
+    return np.asarray([r["pu"] for r in records]), np.asarray(v_samples), dt
 
 
 def eta_convergence_study(
@@ -290,10 +259,7 @@ def eta_convergence_study(
     good = [r for r in rows if not r["failed"] and r["pu_norm"] > 0]
     slope = intercept = None
     if len(good) >= 2:
-        lx = np.log([r["eta"] for r in good])
-        ly = np.log([r["pu_norm"] for r in good])
-        slope_f, intercept_f = np.polyfit(lx, ly, 1)
-        slope, intercept = float(slope_f), float(intercept_f)
+        slope, intercept = fit_loglog([r["eta"] for r in good], [r["pu_norm"] for r in good])
     return EtaStudyResult(
         rows=rows, slope=slope, intercept=intercept, times=times,
         v_deviation_curves=curves,

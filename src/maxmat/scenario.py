@@ -9,7 +9,6 @@ allocating fields.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -309,11 +308,8 @@ class Scenario:
     study: EtaStudyConfig | None
     fixed_point: FixedPointConfig | None
 
-    def build_system(self, eta: float | None = None) -> SimSystem:
-        system = SimSystem(
-            self.grid, self.coeffs, self.domain, self.model,
-            eta=self.eta if eta is None else eta,
-        )
+    def build_system(self) -> SimSystem:
+        system = SimSystem(self.grid, self.coeffs, self.domain, self.model, eta=self.eta)
         if self.integrator.scheme == "rk4":
             limit = system.cfl_limit(self.integrator.cfl_factor)
             if self.integrator.dt > limit:
@@ -403,6 +399,10 @@ def parse_scenario(mapping, name: str = "scenario") -> Scenario:
         integrator.n_steps
     except ValueError as exc:
         raise ConfigError("integrator", str(exc)) from exc
+    if integrator.renormalize_m and not isinstance(model, LandauLifschitzModel):
+        raise ConfigError(
+            "integrator.renormalize_m", "rescales magnetization moduli; landau_lifschitz only"
+        )
 
     eta = _as_float(_get(mapping, "eta", "", 1.0), "eta")
     if eta <= 0:
@@ -411,6 +411,8 @@ def parse_scenario(mapping, name: str = "scenario") -> Scenario:
     study = None
     qsec = _section(mapping, "quasistatic", "", required=False)
     if qsec is not None:
+        if not coeffs.is_constant:
+            raise ConfigError("quasistatic", "the eta study needs constant coefficients")
         allowed = {"eta_list", "radius", "t_obs", "dt", "sample_dt", "stiff_dt_factor", "scheme", "cfl_factor"}
         _check_keys(qsec, allowed, "quasistatic.")
         kwargs = {}
@@ -465,7 +467,3 @@ def load_scenario(path) -> Scenario:
     except yaml.YAMLError as exc:
         raise ConfigError("file", f"unparseable scenario: {exc}") from exc
     return parse_scenario(raw, name=path.stem)
-
-
-def study_with_threads(cfg: EtaStudyConfig, threads: int) -> EtaStudyConfig:
-    return dataclasses.replace(cfg, threads=threads)

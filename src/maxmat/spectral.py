@@ -71,6 +71,10 @@ class FourierWorkspace:
     def inverse(self, spectra: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(spectra, s=self.grid.shape, axes=(-3, -2, -1))
 
+    def longitudinal(self, vhat: np.ndarray) -> np.ndarray:
+        """khat (khat . vhat) on a (3, ...) spectral stack; the zero mode maps to zero."""
+        return self.khat * np.einsum("c...,c...->...", self.khat, vhat)
+
     def cross_xi(self, vhat: np.ndarray) -> np.ndarray:
         """xi wedge vhat, componentwise on a (3, ...) spectral stack."""
         x0, x1, x2 = self.xi
@@ -140,8 +144,8 @@ class FreePropagator:
         """Propagate a (6, ...) spectral stack by exp(-t B)."""
         ws = self.ws
         u1, u2 = state_hat[0:3], state_hat[3:6]
-        par1 = ws.khat * np.einsum("c...,c...->...", ws.khat, u1)
-        par2 = ws.khat * np.einsum("c...,c...->...", ws.khat, u2)
+        par1 = ws.longitudinal(u1)
+        par2 = ws.longitudinal(u2)
         c = np.cos(self.omega * t)
         s = np.sin(self.omega * t)
         out = np.empty_like(state_hat)

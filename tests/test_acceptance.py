@@ -322,6 +322,29 @@ def test_criterion_6_mollified_construction(capsys):
     )
 
 
+def test_criterion_6_companion_ladder_below_identity_index():
+    # Criterion 6's largest index sits at or above the identity index, so
+    # its distance is zero by construction. Below the identity index (14
+    # at 16^3) the distance must shrink strictly and fast, yet stay > 0.
+    scn = load_scenario(SCENARIOS / "ll_mollified.yaml")
+    system = scn.build_system()
+    state = scn.initial_state(system)
+    n_identity = math.ceil(math.sqrt(3.0) * scn.grid.n / 2.0)
+    assert n_identity == 14
+    ref = mollified_fixed_point(
+        system, state, dataclasses.replace(scn.fixed_point, n_mol=n_identity)
+    )
+    dists = []
+    for n in (2, 4, 8, 12):
+        res = mollified_fixed_point(system, state, dataclasses.replace(scn.fixed_point, n_mol=n))
+        dists.append(
+            weighted_norm(res.state.u - ref.state.u, system.coeffs, system.grid)
+            + matter_l2_norm(res.state.v - ref.state.v, system.grid)
+        )
+    assert all(b < a for a, b in zip(dists, dists[1:])), dists
+    assert 0.0 < dists[-1] <= 1e-4 * dists[0], dists
+
+
 # --- criterion 7: quasi-stationary decay ----------------------------------
 
 

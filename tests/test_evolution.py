@@ -22,7 +22,6 @@ from maxmat import (
     make_initial,
     matter_l2_norm,
     pack_rho,
-    rhs_full,
     run,
     step,
     unpack_rho,
@@ -36,7 +35,7 @@ from .conftest import smooth_coefficients, tilted_magnetization
 def test_rhs_recomposition(ll_system, ll_state):
     # du must be exactly -B u plus the extended matter source; dv exactly F
     sys_ = ll_system
-    du, dv = rhs_full(sys_, ll_state)
+    du, dv = sys_.tendencies(ll_state.u, ll_state.v)
     from maxmat import apply_B, extend_by_zero
 
     f = sys_.model.eval_F(ll_state.v, sys_.field_sample(ll_state.u))
@@ -155,6 +154,12 @@ def test_run_aborts_on_blowup(grid16):
     cfg = IntegratorConfig(dt=5e-3, t_end=1.0, scheme="rk4")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort):
         run(sys_, state, cfg)
+
+
+def test_integrate_matter_aborts_on_blowup():
+    v0 = np.full((1, 4), 50.0)  # v' = v^2 blows up at t = 0.02
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort):
+        integrate_matter(Quadratic(), v0, np.zeros((6, 4)), 1.0, 5e-3)
 
 
 def test_run_monitor_and_channel_sampling(ll_system, ll_state):

@@ -22,8 +22,6 @@ from maxmat import (
     make_initial,
     matter_l2_norm,
     reduced_rhs,
-    rhs_eta,
-    rhs_full,
     run_reduced,
     slaved_field,
     with_eta,
@@ -54,13 +52,13 @@ def test_with_eta_overrides_only_eta(qs_system):
 
 def test_rhs_eta_identity(qs_system, rng):
     state = make_initial(qs_system, tilted_magnetization(qs_system.domain))
-    du1, dv1 = rhs_eta(qs_system, state, 1.0)
-    du0, dv0 = rhs_full(qs_system, state)
+    du1, dv1 = with_eta(qs_system, 1.0).tendencies(state.u, state.v)
+    du0, dv0 = qs_system.tendencies(state.u, state.v)
     np.testing.assert_allclose(du1, du0, atol=1e-14)
     np.testing.assert_allclose(dv1, dv0, atol=1e-14)
     # defining relation: eta du + B u = eta * (matter source term)
     eta = 0.05
-    du, dv = rhs_eta(qs_system, state, eta)
+    du, dv = with_eta(qs_system, eta).tendencies(state.u, state.v)
     f = qs_system.model.eval_F(state.v, qs_system.field_sample(state.u))
     src = np.zeros_like(state.u)
     src[0:3] = extend_by_zero(

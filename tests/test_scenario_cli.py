@@ -140,6 +140,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="integrator.scheme"):
             scn.build_system()
 
+    def test_renormalize_m_needs_landau_lifschitz(self, tmp_path):
+        m = base_mapping(
+            model={"kind": "bloch", "levels": [0.0, 1.0]},
+            initial={"matter": "ground", "u_seed": "zero"},
+        )
+        m["integrator"]["renormalize_m"] = True
+        with pytest.raises(ConfigError, match="integrator.renormalize_m"):
+            load_scenario(write_yaml(tmp_path, m))
+
     def test_domain_margin_violation_is_config_error(self, tmp_path):
         m = base_mapping()
         m["domain"]["half_extent"] = [0.45, 0.45, 0.45]
@@ -295,6 +304,17 @@ class TestCli:
         assert code == 2
         assert "quasistatic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["rk4", "lawson_exp"])
+    def test_study_on_variable_coefficients_exit_two(self, tiny_yaml, tmp_path, scheme, capsys):
+        # the eta study measures with the constant-coefficient projector
+        m = yaml.safe_load(tiny_yaml.read_text())
+        m["coefficients"] = {"profile": "smooth_bump", "radius": 0.2, "width": 0.1,
+                             "amplitude1": 0.3}
+        m["quasistatic"]["scheme"] = scheme
+        path = write_yaml(tmp_path, m, name="smooth.yaml")
+        assert main(["quasistatic-study", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "quasistatic" in capsys.readouterr().err
+
     def test_compare_mollified(self, tiny_yaml, tmp_path):
         out = tmp_path / "cmp"
         code = main([
@@ -324,6 +344,25 @@ class TestCli:
             assert main(argv) == 0
             outs.append((out / "seeded_monitor.csv").read_bytes())
         assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "s.yaml", "--threads", "2"],
+    ["reduced", "s.yaml", "--seed", "3"],
+    ["reduced", "s.yaml", "--threads", "2"],
+    ["quasistatic-study", "s.yaml", "--snapshots", "4"],
+    ["compare-mollified", "s.yaml", "--snapshots", "4"],
+    ["compare-mollified", "s.yaml", "--threads", "2"],
+    ["validate", "--out-dir", "x"],
+    ["validate", "--snapshots", "4"],
+    ["validate", "--seed", "3"],
+    ["validate", "--threads", "9"],
+])
+def test_flag_not_read_by_command_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_validate_exit_zero(capsys):
