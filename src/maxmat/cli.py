@@ -404,6 +404,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for flag, low in (("seed", 0), ("threads", 1)):
+            if (value := getattr(args, flag, None)) is not None and value < low:
+                raise ConfigError(f"--{flag}", f"must be >= {low}, got {value}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

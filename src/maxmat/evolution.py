@@ -24,7 +24,7 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class ContractionError(FixedPointError):
     """Iterate distances grew; the window is too long for a contraction."""
 
 
+# Largest rk4 step as a fraction of the time a wave takes to cross one cell.
+CFL_FACTOR = 0.5
+
+
 @dataclass
 class SimState:
     t: float
@@ -79,18 +83,14 @@ class IntegratorConfig:
     dt: float
     t_end: float
     scheme: str = "rk4"
-    renormalize_m: bool = False
-    cfl_factor: float = 0.5
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0 <= self.t_end / self.dt < 2**53:
+            raise ValueError(f"t_end/dt must lie in [0, 2**53), got {self.t_end}/{self.dt}")
         if self.scheme not in ("rk4", "lawson_exp"):
             raise ValueError(f"unknown scheme {self.scheme!r}; use 'rk4' or 'lawson_exp'")
-        if not 0 < self.cfl_factor <= 1:
-            raise ValueError(f"cfl_factor out of (0, 1]: {self.cfl_factor}")
 
     @property
     def n_steps(self) -> int:
@@ -166,9 +166,9 @@ class SimSystem:
             state.u, self.matter_to_field(state.v), self.coeffs, self.ws, self.projector
         )
 
-    def cfl_limit(self, cfl_factor: float) -> float:
+    def cfl_limit(self) -> float:
         speed_weight = float(np.sqrt((self.coeffs.kappa1 * self.coeffs.kappa2).min()))
-        return cfl_factor * self.eta * self.grid.spacing * speed_weight
+        return CFL_FACTOR * self.eta * self.grid.spacing * speed_weight
 
     def free_propagator(self) -> FreePropagator:
         return FreePropagator(self.coeffs, self.ws)
@@ -215,6 +215,8 @@ def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
     Returns (times, values); raises :class:`NumericalAbort` as soon as
     the state stops being finite.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     v = v0.copy()
     times, values = [0.0], [v.copy()]
     for i in range(1, n_steps + 1):
@@ -284,7 +286,7 @@ def step(
 def _check_cfl(system: SimSystem, cfg: IntegratorConfig) -> None:
     if cfg.scheme != "rk4":
         return
-    limit = system.cfl_limit(cfg.cfl_factor)
+    limit = system.cfl_limit()
     if cfg.dt > limit:
         raise ValueError(
             f"dt={cfg.dt} exceeds the rk4 stability limit {limit:.3e} "
@@ -321,9 +323,6 @@ def run(
     if cfg.scheme == "lawson_exp":
         prop = system.free_propagator()
 
-    if cfg.renormalize_m:
-        target_mod = np.sqrt(np.einsum("dm,dm->m", state.v, state.v))
-
     records: list[dict] = []
     series: dict[str, list[float]] = {name: [] for name in channels}
 
@@ -347,10 +346,6 @@ def run(
     for i in range(1, n_steps + 1):
         state = step(system, state, cfg, prop)
         state.t = t0 + i * cfg.dt
-        if cfg.renormalize_m:
-            mod = np.sqrt(np.einsum("dm,dm->m", state.v, state.v))
-            scale = np.where(mod > 0, target_mod / np.where(mod > 0, mod, 1.0), 1.0)
-            state.v *= scale
         if not np.isfinite(state.u).all() or not np.isfinite(state.v).all():
             raise NumericalAbort(f"non-finite state at t={state.t:.6g} (step {i})")
         sample_channels(state)
@@ -381,9 +376,7 @@ def integrate_matter(
     """
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     em = np.atleast_2d(np.asarray(em, dtype=float))
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
+    n_steps = IntegratorConfig(dt, t_end).n_steps
     return _rk4_path(lambda v: model.eval_F(v, em), v0, n_steps, dt, sample_stride)
 
 

@@ -231,18 +231,22 @@ def save_fields(path, fields: np.ndarray, grid: Grid3) -> None:
 
 
 def load_fields(path) -> tuple[np.ndarray, Grid3]:
-    """Read a snapshot written by :func:`save_fields`."""
+    """Read a snapshot written by :func:`save_fields`; a bad file is a ValueError naming it."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated snapshot header ({len(head)} bytes)")
         magic, version, n, box_len, ncomp = _HEADER.unpack(head)
         if magic != MAGIC:
-            raise ValueError(f"not a field snapshot (magic {magic!r})")
+            raise ValueError(f"{path}: not a field snapshot (magic {magic!r})")
         if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
+            raise ValueError(f"{path}: unsupported snapshot version {version}")
         grid = Grid3(n=n, box_len=box_len)
         out = np.empty((ncomp,) + grid.shape)
-        count = n**3
+        size = 8 * n**3
         for c in range(ncomp):
-            raw = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-            out[c] = raw.reshape(grid.shape, order="F")
+            raw = fh.read(size)
+            if len(raw) < size:
+                raise ValueError(f"{path}: truncated snapshot body in component {c} of {ncomp}")
+            out[c] = np.frombuffer(raw, dtype="<f8").reshape(grid.shape, order="F")
     return out, grid

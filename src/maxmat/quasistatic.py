@@ -120,7 +120,6 @@ class EtaStudyConfig:
     sample_dt: float = 0.02
     stiff_dt_factor: float = 0.025
     scheme: str = "lawson_exp"
-    cfl_factor: float = 0.5
     threads: int = 1
 
     def __post_init__(self):
@@ -189,14 +188,14 @@ def _eta_run(
     if cfg.scheme == "lawson_exp":
         dt_wanted = min(cfg.dt, cfg.stiff_dt_factor * eta)
     else:
-        dt_wanted = min(cfg.dt, sys_eta.cfl_limit(cfg.cfl_factor))
+        dt_wanted = min(cfg.dt, sys_eta.cfl_limit())
     n_sub = max(1, ceil(cfg.sample_dt / dt_wanted - 1e-12))
     dt = cfg.sample_dt / n_sub
 
     v_samples = []
     _, records, _ = run(
         sys_eta, state0,
-        IntegratorConfig(dt, t_end=cfg.t_obs, scheme=cfg.scheme, cfl_factor=cfg.cfl_factor),
+        IntegratorConfig(dt, t_end=cfg.t_obs, scheme=cfg.scheme),
         monitors={"pu": lambda s, st: _pu_local_norm(s, st.u, ball)}, stride=n_sub,
         snapshot_cb=lambda s, st, i: v_samples.append(st.v.copy()), snapshot_stride=n_sub,
     )

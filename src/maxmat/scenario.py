@@ -1,21 +1,24 @@
 """Scenario files: one nested key-value config fully determines a run.
 
-The loader is strict by design. Every key is checked against the schema,
-unknown or missing keys raise :class:`ConfigError` naming the full key
-path, and value errors from the underlying dataclasses are re-raised
-under the section that supplied them, so a bad file never gets as far as
-allocating fields.
+The loader is strict by design. Each section is read by one schema table
+of key -> (converter, default). Unknown, missing, mistyped, non-finite or
+out-of-range values raise :class:`ConfigError` naming the full key path,
+and value errors from the dataclasses built from a section are re-raised
+under its name, so a bad file never gets as far as allocating fields.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .evolution import FixedPointConfig, IntegratorConfig, SimState, SimSystem, make_initial
+from .evolution import FixedPointConfig, IntegratorConfig, SimState, SimSystem
+from .evolution import _check_cfl, make_initial
 from .grid import Coefficients, DomainMask, Grid3, ball_mask, box_mask
 from .models import BlochModel, LandauLifschitzModel, MatterModel, pack_rho
 from .quasistatic import EtaStudyConfig
@@ -29,37 +32,63 @@ class ConfigError(Exception):
         super().__init__(f"{key}: {reason}")
 
 
-def _section(mapping, key, path, required=True):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}{key}", "missing required section")
-        return None
-    val = mapping[key]
-    if not isinstance(val, dict):
-        raise ConfigError(f"{path}{key}", f"expected a mapping, got {type(val).__name__}")
-    return val
+# Schema defaults besides plain values: the key must be present, or an absent
+# key is left out so the dataclass built from the section supplies its default.
+REQUIRED = object()
+OMIT = object()
 
 
-def _check_keys(mapping, allowed, path):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{path}{key}", "unknown key")
+def _read(sec, path, spec):
+    """Read the section ``sec`` by ``spec``: key -> (converter, default).
+
+    Returns the converted values by key; absent keys get their default,
+    or are left out when the default is :data:`OMIT`.
+    """
+    for key in sec:
+        if key not in spec:
+            raise ConfigError(f"{path}{key}", f"unknown key; expected one of {sorted(spec)}")
+    out = {}
+    for key, (convert, default) in spec.items():
+        if key in sec:
+            out[key] = convert(sec[key], f"{path}{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{path}{key}", "missing required key")
+        elif default is not OMIT:
+            out[key] = default
+    return out
 
 
-_MISSING = object()
-
-
-def _get(mapping, key, path, default=_MISSING):
-    if key in mapping:
-        return mapping[key]
-    if default is _MISSING:
+def _variant(sec, path, key, variants, default=REQUIRED):
+    """The spec for the variant that ``sec[key]`` names (``default`` when
+    absent): the variant's keys plus ``key`` itself."""
+    tag = sec.get(key, default)
+    if tag is REQUIRED:
         raise ConfigError(f"{path}{key}", "missing required key")
-    return default
+    return {key: (_as_str, default), **variants[_as_str(tag, f"{path}{key}", variants)]}
+
+
+@contextmanager
+def _under(key):
+    """Re-raise a constructor's ValueError as a ConfigError naming ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
+def _build(cls, sec, key, spec):
+    """``cls`` from the section ``key`` read by ``spec`` (None for an absent section)."""
+    if sec is None:
+        return None
+    with _under(key):
+        return cls(**_read(sec, f"{key}.", spec))
 
 
 def _as_float(val, path):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(path, f"expected a number, got {val!r}")
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(path, f"expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -67,12 +96,6 @@ def _as_int(val, path):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(path, f"expected an integer, got {val!r}")
     return int(val)
-
-
-def _as_bool(val, path):
-    if not isinstance(val, bool):
-        raise ConfigError(path, f"expected true/false, got {val!r}")
-    return val
 
 
 def _as_str(val, path, choices=None):
@@ -83,16 +106,47 @@ def _as_str(val, path, choices=None):
     return val
 
 
-def _as_vec3(val, path):
-    if not isinstance(val, (list, tuple)) or len(val) != 3:
-        raise ConfigError(path, f"expected a list of 3 numbers, got {val!r}")
-    return np.array([_as_float(v, path) for v in val])
+def _as_mapping(val, path):
+    if not isinstance(val, dict):
+        raise ConfigError(path, f"expected a mapping, got {type(val).__name__}")
+    return val
 
 
-def _as_float_list(val, path):
-    if not isinstance(val, (list, tuple)) or not val:
-        raise ConfigError(path, f"expected a non-empty list of numbers, got {val!r}")
-    return [_as_float(v, path) for v in val]
+def _list_of(convert, length=None):
+    """A non-empty list (of exactly ``length`` items if given), as a tuple."""
+
+    def read(val, path):
+        if not isinstance(val, (list, tuple)) or not val or len(val) != (length or len(val)):
+            count = length or "one or more"
+            raise ConfigError(path, f"expected a list of {count} values, got {val!r}")
+        return tuple(convert(v, path) for v in val)
+
+    return read
+
+
+def _checked(convert, ok, what):
+    """``convert`` followed by the range check ``ok``, described by ``what``."""
+
+    def read(val, path):
+        out = convert(val, path)
+        if not ok(out):
+            raise ConfigError(path, f"must be {what}, got {out!r}")
+        return out
+
+    return read
+
+
+_vec3 = _list_of(_as_float, 3)
+_floats = _list_of(_as_float)
+_positive = _checked(_as_float, lambda x: x > 0, "positive")
+_positive_int = _checked(_as_int, lambda i: i >= 1, ">= 1")
+_amplitude = _checked(_as_float, lambda a: 1.0 + min(a, 0.0) >= 0.05, ">= -0.95")
+_direction = _checked(_vec3, lambda d: 0.0 < np.linalg.norm(d) < np.inf, "a nonzero vector")
+_pair = _checked(_list_of(_as_int, 2), lambda p: min(p) >= 0 and p[0] != p[1], "distinct and >= 0")
+
+
+def _coupling(val, path):
+    return (_floats if isinstance(val, (list, tuple)) else _as_float)(val, path)
 
 
 def _smooth_indicator(grid: Grid3, center, radius: float, width: float) -> np.ndarray:
@@ -124,46 +178,6 @@ def _smooth_indicator(grid: Grid3, center, radius: float, width: float) -> np.nd
     return np.clip(conv, 0.0, 1.0)
 
 
-def _build_coefficients(sec, grid: Grid3, path) -> Coefficients:
-    profile = _as_str(_get(sec, "profile", path), f"{path}profile", {"constant", "smooth_bump"})
-    if profile == "constant":
-        _check_keys(sec, {"profile", "kappa1", "kappa2"}, path)
-        k1 = _as_float(_get(sec, "kappa1", path, 1.0), f"{path}kappa1")
-        k2 = _as_float(_get(sec, "kappa2", path, 1.0), f"{path}kappa2")
-        if k1 <= 0 or k2 <= 0:
-            raise ConfigError(f"{path}kappa1", "coefficients must be positive")
-        return Coefficients.constant(grid, k1, k2)
-    _check_keys(sec, {"profile", "center", "radius", "amplitude1", "amplitude2", "width"}, path)
-    center = _as_vec3(_get(sec, "center", path, [0.5, 0.5, 0.5]), f"{path}center")
-    radius = _as_float(_get(sec, "radius", path), f"{path}radius")
-    width = _as_float(_get(sec, "width", path), f"{path}width")
-    a1 = _as_float(_get(sec, "amplitude1", path, 0.0), f"{path}amplitude1")
-    a2 = _as_float(_get(sec, "amplitude2", path, 0.0), f"{path}amplitude2")
-    if radius <= 0 or width <= 0:
-        raise ConfigError(f"{path}radius", "radius and width must be positive")
-    for name, amp in (("amplitude1", a1), ("amplitude2", a2)):
-        if 1.0 + min(amp, 0.0) < 0.05:
-            raise ConfigError(f"{path}{name}", f"amplitude {amp} drives the coefficient below 0.05")
-    bump = _smooth_indicator(grid, center, radius, width)
-    return Coefficients(1.0 + a1 * bump, 1.0 + a2 * bump)
-
-
-def _build_domain(sec, grid: Grid3, path) -> DomainMask:
-    shape = _as_str(_get(sec, "shape", path), f"{path}shape", {"box", "ball"})
-    try:
-        if shape == "box":
-            _check_keys(sec, {"shape", "center", "half_extent"}, path)
-            center = _as_vec3(_get(sec, "center", path), f"{path}center")
-            half = _as_vec3(_get(sec, "half_extent", path), f"{path}half_extent")
-            return box_mask(grid, center, half)
-        _check_keys(sec, {"shape", "center", "radius"}, path)
-        center = _as_vec3(_get(sec, "center", path), f"{path}center")
-        radius = _as_float(_get(sec, "radius", path), f"{path}radius")
-        return ball_mask(grid, center, radius)
-    except ValueError as exc:
-        raise ConfigError(path.rstrip("."), str(exc)) from exc
-
-
 def _ladder_dipole(levels, coupling, polarization):
     n = len(levels)
     d = np.zeros((3, n, n), dtype=complex)
@@ -174,91 +188,128 @@ def _ladder_dipole(levels, coupling, polarization):
     return d
 
 
-def _build_model(sec, path) -> MatterModel:
-    kind = _as_str(_get(sec, "kind", path), f"{path}kind", {"landau_lifschitz", "bloch"})
-    try:
-        if kind == "landau_lifschitz":
-            _check_keys(sec, {"kind", "gyro", "damping", "aniso", "axis", "h_ext"}, path)
-            return LandauLifschitzModel(
-                gyro=_as_float(_get(sec, "gyro", path), f"{path}gyro"),
-                damping=_as_float(_get(sec, "damping", path), f"{path}damping"),
-                aniso=_as_float(_get(sec, "aniso", path, 0.0), f"{path}aniso"),
-                axis=tuple(_as_vec3(_get(sec, "axis", path, [0.0, 0.0, 1.0]), f"{path}axis")),
-                h_ext=tuple(_as_vec3(_get(sec, "h_ext", path, [0.0, 0.0, 0.0]), f"{path}h_ext")),
-            )
-        _check_keys(sec, {"kind", "levels", "coupling", "polarization", "relax"}, path)
-        levels = _as_float_list(_get(sec, "levels", path), f"{path}levels")
-        if len(levels) < 2:
-            raise ConfigError(f"{path}levels", "need at least two levels")
-        coupling = _get(sec, "coupling", path, 1.0)
-        if isinstance(coupling, (list, tuple)):
-            coupling = _as_float_list(coupling, f"{path}coupling")
-            if len(coupling) != len(levels) - 1:
-                raise ConfigError(
-                    f"{path}coupling", f"need {len(levels) - 1} adjacent couplings, got {len(coupling)}"
-                )
-        else:
-            coupling = [_as_float(coupling, f"{path}coupling")] * (len(levels) - 1)
-        pol = _as_vec3(_get(sec, "polarization", path, [1.0, 0.0, 0.0]), f"{path}polarization")
-        return BlochModel(
-            levels=tuple(levels),
-            dipole=_ladder_dipole(levels, coupling, pol),
-            relax=_as_float(_get(sec, "relax", path, 0.0), f"{path}relax"),
-        )
-    except ValueError as exc:
-        raise ConfigError(path.rstrip("."), str(exc)) from exc
+_COEFFICIENT_PROFILES = {
+    "constant": {"kappa1": (_positive, 1.0), "kappa2": (_positive, 1.0)},
+    "smooth_bump": {
+        "center": (_vec3, (0.5, 0.5, 0.5)),
+        "radius": (_positive, REQUIRED), "width": (_positive, REQUIRED),
+        "amplitude1": (_amplitude, 0.0), "amplitude2": (_amplitude, 0.0),
+    },
+}
+
+
+def _build_coefficients(sec, grid: Grid3) -> Coefficients:
+    path = "coefficients."
+    vals = _read(sec, path, _variant(sec, path, "profile", _COEFFICIENT_PROFILES))
+    if vals.pop("profile") == "constant":
+        return Coefficients.constant(grid, **vals)
+    bump = _smooth_indicator(grid, vals["center"], vals["radius"], vals["width"])
+    return Coefficients(1.0 + vals["amplitude1"] * bump, 1.0 + vals["amplitude2"] * bump)
+
+
+_DOMAIN_SHAPES = {
+    "box": {"center": (_vec3, REQUIRED), "half_extent": (_vec3, REQUIRED)},
+    "ball": {"center": (_vec3, REQUIRED), "radius": (_as_float, REQUIRED)},
+}
+
+
+def _build_domain(sec, grid: Grid3) -> DomainMask:
+    vals = _read(sec, "domain.", _variant(sec, "domain.", "shape", _DOMAIN_SHAPES))
+    make_mask = box_mask if vals.pop("shape") == "box" else ball_mask
+    with _under("domain"):
+        return make_mask(grid, **vals)
+
+
+_MODEL_KINDS = {
+    "landau_lifschitz": {
+        "gyro": (_as_float, REQUIRED), "damping": (_as_float, REQUIRED),
+        "aniso": (_as_float, OMIT), "axis": (_vec3, OMIT), "h_ext": (_vec3, OMIT),
+    },
+    "bloch": {
+        "levels": (_checked(_floats, lambda lv: len(lv) >= 2, "two or more levels"), REQUIRED),
+        "coupling": (_coupling, 1.0), "polarization": (_vec3, (1.0, 0.0, 0.0)),
+        "relax": (_as_float, OMIT),
+    },
+}
+
+
+def _build_model(sec) -> MatterModel:
+    vals = _read(sec, "model.", _variant(sec, "model.", "kind", _MODEL_KINDS))
+    with _under("model"):
+        if vals.pop("kind") == "landau_lifschitz":
+            return LandauLifschitzModel(**vals)
+        levels, coupling = vals.pop("levels"), vals.pop("coupling")
+        if not isinstance(coupling, tuple):
+            coupling = (coupling,) * (len(levels) - 1)
+        elif len(coupling) != len(levels) - 1:
+            raise ConfigError("model.coupling", "need one coupling per adjacent level pair")
+        dipole = _ladder_dipole(levels, coupling, vals.pop("polarization"))
+        return BlochModel(levels=levels, dipole=dipole, **vals)
 
 
 @dataclass
 class InitialSpec:
+    """Initial matter profile and field seed; see _MATTER_PROFILES and _FIELD_SEEDS."""
+
     matter: str
-    direction: np.ndarray
-    tilt: float
-    winding: int
-    pair: tuple[int, int]
     u_seed: str
-    seed: int
-    band: int
-    amplitude: float
+    direction: np.ndarray = (0.0, 0.0, 1.0)  # normalized on construction
+    tilt: float = 0.5
+    winding: int = 1
+    pair: tuple[int, int] = (0, 1)
+    seed: int = 0
+    band: int = 4
+    amplitude: float = 0.1
+
+    def __post_init__(self):
+        self.direction = np.asarray(self.direction, dtype=float) / np.linalg.norm(self.direction)
 
 
-def _build_initial(sec, model: MatterModel, path) -> InitialSpec:
-    allowed = {"matter", "direction", "tilt", "winding", "pair", "u_seed", "seed", "band", "amplitude"}
-    _check_keys(sec, allowed, path)
-    if isinstance(model, LandauLifschitzModel):
-        matter = _as_str(_get(sec, "matter", path), f"{path}matter", {"uniform", "modulated"})
-    else:
-        matter = _as_str(_get(sec, "matter", path), f"{path}matter", {"ground", "coherent"})
-    direction = _as_vec3(_get(sec, "direction", path, [0.0, 0.0, 1.0]), f"{path}direction")
-    nrm = float(np.linalg.norm(direction))
-    if nrm == 0.0:
-        raise ConfigError(f"{path}direction", "zero vector")
-    tilt = _as_float(_get(sec, "tilt", path, 0.5), f"{path}tilt")
-    if not 0.0 <= tilt < 1.0:
-        raise ConfigError(f"{path}tilt", f"tilt must lie in [0, 1), got {tilt}")
-    pair_raw = _get(sec, "pair", path, [0, 1])
-    if not isinstance(pair_raw, (list, tuple)) or len(pair_raw) != 2:
-        raise ConfigError(f"{path}pair", f"expected two level indices, got {pair_raw!r}")
-    pair = (_as_int(pair_raw[0], f"{path}pair"), _as_int(pair_raw[1], f"{path}pair"))
-    if isinstance(model, BlochModel):
-        n = len(model.levels)
-        if not (0 <= pair[0] < n and 0 <= pair[1] < n and pair[0] != pair[1]):
-            raise ConfigError(f"{path}pair", f"level indices out of range for {n} levels")
-    u_seed = _as_str(_get(sec, "u_seed", path, "zero"), f"{path}u_seed", {"zero", "random_band"})
-    band = _as_int(_get(sec, "band", path, 4), f"{path}band")
-    if band < 1:
-        raise ConfigError(f"{path}band", f"band must be >= 1, got {band}")
-    return InitialSpec(
-        matter=matter,
-        direction=direction / nrm,
-        tilt=tilt,
-        winding=_as_int(_get(sec, "winding", path, 1), f"{path}winding"),
-        pair=pair,
-        u_seed=u_seed,
-        seed=_as_int(_get(sec, "seed", path, 0), f"{path}seed"),
-        band=band,
-        amplitude=_as_float(_get(sec, "amplitude", path, 0.1), f"{path}amplitude"),
-    )
+# Initial-data keys by variant: ``matter`` (per model kind) and ``u_seed``.
+_MATTER_PROFILES = {
+    LandauLifschitzModel: {
+        "uniform": {"direction": (_direction, OMIT)},
+        "modulated": {
+            "tilt": (_checked(_as_float, lambda x: 0.0 <= x < 1.0, "in [0, 1)"), OMIT),
+            "winding": (_as_int, OMIT),
+        },
+    },
+    BlochModel: {"ground": {}, "coherent": {"pair": (_pair, OMIT)}},
+}
+_FIELD_SEEDS = {
+    "zero": {},
+    "random_band": {
+        "seed": (_checked(_as_int, lambda i: i >= 0, ">= 0"), OMIT),
+        "band": (_positive_int, OMIT), "amplitude": (_as_float, OMIT),
+    },
+}
+
+
+def _build_initial(sec, model: MatterModel) -> InitialSpec:
+    path = "initial."
+    vals = _read(sec, path, {
+        **_variant(sec, path, "matter", _MATTER_PROFILES[type(model)]),
+        **_variant(sec, path, "u_seed", _FIELD_SEEDS, default="zero"),
+    })
+    if "pair" in vals and max(vals["pair"]) >= model.n_levels:
+        raise ConfigError(f"{path}pair", f"level index out of range for {model.n_levels} levels")
+    return InitialSpec(**vals)
+
+
+_GRID = {"n": (_as_int, REQUIRED), "box_len": (_as_float, OMIT)}
+_INTEGRATOR = {
+    "dt": (_as_float, REQUIRED), "t_end": (_as_float, REQUIRED), "scheme": (_as_str, OMIT),
+    "monitor_stride": (_positive_int, 1),
+}
+_QUASISTATIC = {
+    "eta_list": (_floats, OMIT),
+    **{key: (_positive, OMIT) for key in ("radius", "t_obs", "dt", "sample_dt", "stiff_dt_factor")},
+    "scheme": (_as_str, OMIT),
+}
+_FIXED_POINT = {
+    "n_mol": (_as_int, REQUIRED), "window": (_as_float, REQUIRED), "n_steps": (_as_int, REQUIRED),
+    "tol": (_as_float, OMIT), "max_iter": (_as_int, OMIT),
+}
 
 
 def modulated_magnetization(domain: DomainMask, tilt: float, winding: int) -> np.ndarray:
@@ -309,20 +360,11 @@ class Scenario:
     fixed_point: FixedPointConfig | None
 
     def build_system(self) -> SimSystem:
+        if self.integrator.scheme == "lawson_exp" and not self.coeffs.is_constant:
+            raise ConfigError("integrator.scheme", "only rk4 runs on variable coefficients")
         system = SimSystem(self.grid, self.coeffs, self.domain, self.model, eta=self.eta)
-        if self.integrator.scheme == "rk4":
-            limit = system.cfl_limit(self.integrator.cfl_factor)
-            if self.integrator.dt > limit:
-                raise ConfigError(
-                    "integrator.dt",
-                    f"{self.integrator.dt} exceeds the explicit stability limit "
-                    f"{limit:.3e}; reduce dt or set scheme: lawson_exp",
-                )
-        elif not self.coeffs.is_constant:
-            raise ConfigError(
-                "integrator.scheme",
-                "lawson_exp needs spatially constant coefficients; use rk4",
-            )
+        with _under("integrator.dt"):
+            _check_cfl(system, self.integrator)
         return system
 
     def initial_matter(self) -> np.ndarray:
@@ -358,93 +400,34 @@ class Scenario:
 def parse_scenario(mapping, name: str = "scenario") -> Scenario:
     if not isinstance(mapping, dict):
         raise ConfigError("scenario", "top level must be a mapping")
-    top = {"name", "grid", "coefficients", "domain", "model", "initial",
-           "integrator", "eta", "quasistatic", "fixed_point"}
-    _check_keys(mapping, top, "")
-    if "name" in mapping:
-        name = _as_str(mapping["name"], "name")
+    sections = ("grid", "coefficients", "domain", "model", "initial", "integrator")
+    top = _read(mapping, "", {
+        "name": (_as_str, name),
+        **{key: (_as_mapping, REQUIRED) for key in sections},
+        "eta": (_positive, 1.0),
+        "quasistatic": (_as_mapping, None),
+        "fixed_point": (_as_mapping, None),
+    })
 
-    gsec = _section(mapping, "grid", "")
-    _check_keys(gsec, {"n", "box_len"}, "grid.")
-    try:
-        grid = Grid3(
-            _as_int(_get(gsec, "n", "grid."), "grid.n"),
-            _as_float(_get(gsec, "box_len", "grid.", 1.0), "grid.box_len"),
-        )
-    except ValueError as exc:
-        raise ConfigError("grid.n", str(exc)) from exc
+    grid = _build(Grid3, top["grid"], "grid", _GRID)
+    coeffs = _build_coefficients(top["coefficients"], grid)
+    domain = _build_domain(top["domain"], grid)
+    model = _build_model(top["model"])
+    initial = _build_initial(top["initial"], model)
 
-    coeffs = _build_coefficients(_section(mapping, "coefficients", ""), grid, "coefficients.")
-    domain = _build_domain(_section(mapping, "domain", ""), grid, "domain.")
-    model = _build_model(_section(mapping, "model", ""), "model.")
-    initial = _build_initial(_section(mapping, "initial", ""), model, "initial.")
-
-    isec = _section(mapping, "integrator", "")
-    _check_keys(
-        isec, {"dt", "t_end", "scheme", "renormalize_m", "cfl_factor", "monitor_stride"}, "integrator."
-    )
-    stride = _as_int(_get(isec, "monitor_stride", "integrator.", 1), "integrator.monitor_stride")
-    if stride < 1:
-        raise ConfigError("integrator.monitor_stride", f"must be >= 1, got {stride}")
-    try:
-        integrator = IntegratorConfig(
-            dt=_as_float(_get(isec, "dt", "integrator."), "integrator.dt"),
-            t_end=_as_float(_get(isec, "t_end", "integrator."), "integrator.t_end"),
-            scheme=_as_str(_get(isec, "scheme", "integrator.", "rk4"), "integrator.scheme"),
-            renormalize_m=_as_bool(
-                _get(isec, "renormalize_m", "integrator.", False), "integrator.renormalize_m"
-            ),
-            cfl_factor=_as_float(_get(isec, "cfl_factor", "integrator.", 0.5), "integrator.cfl_factor"),
-        )
+    ivals = _read(top["integrator"], "integrator.", _INTEGRATOR)
+    stride = ivals.pop("monitor_stride")
+    with _under("integrator"):
+        integrator = IntegratorConfig(**ivals)
         integrator.n_steps
-    except ValueError as exc:
-        raise ConfigError("integrator", str(exc)) from exc
-    if integrator.renormalize_m and not isinstance(model, LandauLifschitzModel):
-        raise ConfigError(
-            "integrator.renormalize_m", "rescales magnetization moduli; landau_lifschitz only"
-        )
 
-    eta = _as_float(_get(mapping, "eta", "", 1.0), "eta")
-    if eta <= 0:
-        raise ConfigError("eta", f"must be positive, got {eta}")
-
-    study = None
-    qsec = _section(mapping, "quasistatic", "", required=False)
-    if qsec is not None:
-        if not coeffs.is_constant:
-            raise ConfigError("quasistatic", "the eta study needs constant coefficients")
-        allowed = {"eta_list", "radius", "t_obs", "dt", "sample_dt", "stiff_dt_factor", "scheme", "cfl_factor"}
-        _check_keys(qsec, allowed, "quasistatic.")
-        kwargs = {}
-        if "eta_list" in qsec:
-            kwargs["eta_list"] = tuple(_as_float_list(qsec["eta_list"], "quasistatic.eta_list"))
-        for key in ("radius", "t_obs", "dt", "sample_dt", "stiff_dt_factor", "cfl_factor"):
-            if key in qsec:
-                kwargs[key] = _as_float(qsec[key], f"quasistatic.{key}")
-        if "scheme" in qsec:
-            kwargs["scheme"] = _as_str(qsec["scheme"], "quasistatic.scheme")
-        try:
-            study = EtaStudyConfig(**kwargs)
-        except ValueError as exc:
-            raise ConfigError("quasistatic", str(exc)) from exc
-
-    fixed_point = None
-    fsec = _section(mapping, "fixed_point", "", required=False)
-    if fsec is not None:
-        _check_keys(fsec, {"n_mol", "window", "n_steps", "tol", "max_iter"}, "fixed_point.")
-        try:
-            fixed_point = FixedPointConfig(
-                n_mol=_as_int(_get(fsec, "n_mol", "fixed_point."), "fixed_point.n_mol"),
-                window=_as_float(_get(fsec, "window", "fixed_point."), "fixed_point.window"),
-                n_steps=_as_int(_get(fsec, "n_steps", "fixed_point."), "fixed_point.n_steps"),
-                tol=_as_float(_get(fsec, "tol", "fixed_point.", 1e-10), "fixed_point.tol"),
-                max_iter=_as_int(_get(fsec, "max_iter", "fixed_point.", 60), "fixed_point.max_iter"),
-            )
-        except ValueError as exc:
-            raise ConfigError("fixed_point", str(exc)) from exc
+    if top["quasistatic"] is not None and not coeffs.is_constant:
+        raise ConfigError("quasistatic", "the eta study needs constant coefficients")
+    study = _build(EtaStudyConfig, top["quasistatic"], "quasistatic", _QUASISTATIC)
+    fixed_point = _build(FixedPointConfig, top["fixed_point"], "fixed_point", _FIXED_POINT)
 
     return Scenario(
-        name=name,
+        name=top["name"],
         grid=grid,
         coeffs=coeffs,
         domain=domain,
@@ -452,7 +435,7 @@ def parse_scenario(mapping, name: str = "scenario") -> Scenario:
         initial=initial,
         integrator=integrator,
         monitor_stride=stride,
-        eta=eta,
+        eta=top["eta"],
         study=study,
         fixed_point=fixed_point,
     )

@@ -23,6 +23,7 @@ from maxmat import (
     matter_l2_norm,
     pack_rho,
     run,
+    run_reduced,
     step,
     unpack_rho,
     weighted_norm,
@@ -128,6 +129,8 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=1e-3, t_end=1.0, scheme="euler")
     with pytest.raises(ValueError):
         IntegratorConfig(dt=3e-3, t_end=1.0).n_steps and None
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=1e-300, t_end=1e10)  # more steps than a float counts
 
 
 class Quadratic(MatterModel):
@@ -175,12 +178,14 @@ def test_run_monitor_and_channel_sampling(ll_system, ll_state):
     assert final.t == pytest.approx(0.1)
 
 
-def test_renormalization_preserves_moduli(ll_system, ll_state):
-    cfg = IntegratorConfig(dt=2e-3, t_end=0.1, scheme="rk4", renormalize_m=True)
-    mod0 = np.sqrt(np.einsum("dm,dm->m", ll_state.v, ll_state.v))
-    final, _, _ = run(ll_system, ll_state, cfg)
-    mod1 = np.sqrt(np.einsum("dm,dm->m", final.v, final.v))
-    np.testing.assert_allclose(mod1, mod0, atol=1e-13)
+def test_matter_paths_reject_zero_sample_stride(ll_system, ll_state):
+    model = ll_system.model
+    em = np.zeros((6, ll_state.v.shape[1]))
+    with pytest.raises(ValueError, match="stride"):
+        integrate_matter(model, ll_state.v, em, 0.01, 1e-3, sample_stride=0)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+    with pytest.raises(ValueError, match="stride"):
+        run_reduced(ll_system, ll_state.v, cfg, sample_stride=0)
 
 
 # ------------------------------------------------------ closed-form oracles

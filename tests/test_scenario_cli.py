@@ -192,6 +192,70 @@ class TestParsing:
             state = scn.initial_state(system)
             assert np.isfinite(state.u).all() and np.isfinite(state.v).all()
 
+    @pytest.mark.parametrize("initial, key", [
+        ({"matter": "modulated", "direction": [1.0, 0.0, 0.0]}, "initial.direction"),
+        ({"matter": "uniform", "tilt": 0.3}, "initial.tilt"),
+        ({"matter": "uniform", "winding": 2}, "initial.winding"),
+        ({"matter": "modulated", "seed": 3}, "initial.seed"),
+        ({"matter": "modulated", "u_seed": "zero", "band": 2}, "initial.band"),
+        ({"matter": "modulated", "amplitude": 0.1}, "initial.amplitude"),
+        ({"matter": "modulated", "pair": [0, 1]}, "initial.pair"),
+    ])
+    def test_initial_keys_of_another_variant_rejected(self, initial, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario(base_mapping(initial=initial))
+
+    def test_initial_pair_only_for_coherent(self):
+        bloch = {"kind": "bloch", "levels": [0.0, 1.0]}
+        with pytest.raises(ConfigError, match="initial.pair"):
+            parse_scenario(base_mapping(model=bloch, initial={"matter": "ground", "pair": [0, 1]}))
+        scn = parse_scenario(base_mapping(model=bloch, initial={"matter": "coherent", "pair": [1, 0]}))
+        assert scn.initial.pair == (1, 0)
+
+    def test_grid_constructor_error_names_grid(self):
+        m = base_mapping()
+        m["grid"]["box_len"] = -1
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario(m)
+        assert exc.value.key == "grid"
+
+
+def _with_key(mapping, dotted, value):
+    node = mapping
+    *parents, leaf = dotted.split(".")
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return mapping
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, value, initial", [
+    ("coefficients.kappa1", INF, None),
+    ("coefficients.kappa1", NAN, None),
+    ("integrator.t_end", INF, None),
+    ("quasistatic.t_obs", INF, None),
+    ("eta", NAN, None),
+    ("model.gyro", NAN, None),
+    ("model.damping", NAN, None),
+    ("initial.direction", [NAN, 0.0, 1.0], {"matter": "uniform"}),
+    ("initial.amplitude", NAN, {"matter": "modulated", "u_seed": "random_band"}),
+    ("quasistatic.radius", NAN, None),
+    ("fixed_point.window", INF, None),
+    ("quasistatic.dt", 0.0, None),
+    ("quasistatic.sample_dt", 0.0, None),
+    ("quasistatic.stiff_dt_factor", 0.0, None),
+])
+def test_bad_number_exit_two(tiny_yaml, tmp_path, capsys, key, value, initial):
+    m = yaml.safe_load(tiny_yaml.read_text())
+    if initial is not None:
+        m["initial"] = initial
+    path = write_yaml(tmp_path, _with_key(m, key, value), name="bad.yaml")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
 
 class TestInitialData:
     def test_modulated_transverse_mean_cancels(self, tmp_path):
@@ -344,6 +408,22 @@ class TestCli:
             assert main(argv) == 0
             outs.append((out / "seeded_monitor.csv").read_bytes())
         assert outs[0] != outs[1]
+
+    def test_negative_scenario_seed_exit_two(self, tmp_path, capsys):
+        m = base_mapping()
+        m["initial"].update(u_seed="random_band", seed=-1)
+        path = write_yaml(tmp_path, m)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "initial.seed" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_two(self, tiny_yaml, tmp_path, capsys):
+        assert main(["run", str(tiny_yaml), "--out-dir", str(tmp_path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_zero_threads_exit_two(self, tiny_yaml, tmp_path, capsys):
+        argv = ["quasistatic-study", str(tiny_yaml), "--out-dir", str(tmp_path), "--threads", "0"]
+        assert main(argv) == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
