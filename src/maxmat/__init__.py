@@ -30,7 +30,6 @@ from .spectral import (
 )
 from .helmholtz import (
     ProjectionSolveError,
-    ProjectorConfig,
     constraint_residual,
     project_P,
     project_complement,

@@ -73,15 +73,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _snapshot_writer(scn: Scenario, out: Path, stride: int):
-    if stride <= 0:
-        return None, 0
+def _save_snapshot(path: Path, scn: Scenario, u: np.ndarray, v: np.ndarray) -> None:
+    """Write the field state and the zero-extended matter state as one stack."""
+    save_fields(path, np.concatenate([u, extend_by_zero(v, scn.domain)]), scn.grid)
 
+
+def _snapshot_writer(scn: Scenario, out: Path):
     def writer(system, state, step):
-        stack = np.concatenate([state.u, extend_by_zero(state.v, scn.domain)])
-        save_fields(out / f"{scn.name}_snap_{step:06d}.bin", stack, scn.grid)
+        _save_snapshot(out / f"{scn.name}_snap_{step:06d}.bin", scn, state.u, state.v)
 
-    return writer, stride
+    return writer
 
 
 def _cmd_run(args) -> int:
@@ -90,11 +91,10 @@ def _cmd_run(args) -> int:
     state = scn.initial_state(system, seed=args.seed)
     out = _out_dir(args)
     monitors = standard_monitors(system, state.v)
-    snap_cb, snap_stride = _snapshot_writer(scn, out, args.snapshots)
     final, records, _ = run(
         system, state, scn.integrator,
         monitors=monitors, stride=scn.monitor_stride,
-        snapshot_cb=snap_cb, snapshot_stride=snap_stride,
+        snapshot_cb=_snapshot_writer(scn, out), snapshot_stride=args.snapshots,
     )
     rows = [r.row() for r in to_monitor_records(records)]
     csv_path = out / f"{scn.name}_monitor.csv"
@@ -121,9 +121,8 @@ def _cmd_reduced(args) -> int:
     res = system.constraint_residual(result.state)
     print(f"reduced run finished: t={result.state.t:g}, slaved-field constraint {res:.3e} -> {csv_path}")
     if args.snapshots > 0:
-        stack = np.concatenate([result.state.u, extend_by_zero(result.v_final, scn.domain)])
         snap = out / f"{scn.name}_reduced_final.bin"
-        save_fields(snap, stack, scn.grid)
+        _save_snapshot(snap, scn, result.state.u, result.v_final)
         print(f"final snapshot -> {snap}")
     return EXIT_OK
 
@@ -333,7 +332,7 @@ def _validation_checks():
         return res < 1e-9, f"slaved-field residual {res:.2e}"
 
     def check_bloch_trace():
-        from . import BlochModel, SimState, pack_rho, unpack_rho
+        from . import BlochModel, pack_rho, unpack_rho
         from .evolution import integrate_matter
 
         d = np.zeros((3, 2, 2), dtype=complex)

@@ -25,6 +25,7 @@ alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +37,7 @@ from .grid import (
     matter_l2_norm,
     restrict_to_domain,
 )
-from .helmholtz import (
-    ProjectorConfig,
-    constraint_residual,
-    project_P,
-    project_complement_state,
-)
+from .helmholtz import constraint_residual, project_P, project_complement_state
 from .models import MatterModel
 from .spectral import (
     FourierWorkspace,
@@ -115,7 +111,6 @@ class SimSystem:
         domain: DomainMask,
         model: MatterModel,
         eta: float = 1.0,
-        projector: ProjectorConfig | None = None,
     ):
         if coeffs.kappa1.shape != grid.shape:
             raise ValueError("coefficients do not live on the given grid")
@@ -128,7 +123,6 @@ class SimSystem:
         self.domain = domain
         self.model = model
         self.eta = float(eta)
-        self.projector = projector or ProjectorConfig()
         self.ws = FourierWorkspace(grid)
         self.kappa_d = coeffs.component(model.em_slot)[domain.mask]
         self._slot = slice(0, 3) if model.em_slot == 1 else slice(3, 6)
@@ -162,15 +156,16 @@ class SimSystem:
         return du, f
 
     def constraint_residual(self, state: SimState) -> float:
-        return constraint_residual(
-            state.u, self.matter_to_field(state.v), self.coeffs, self.ws, self.projector
-        )
+        return constraint_residual(state.u, self.matter_to_field(state.v), self.coeffs, self.ws)
 
     def cfl_limit(self) -> float:
         speed_weight = float(np.sqrt((self.coeffs.kappa1 * self.coeffs.kappa2).min()))
         return CFL_FACTOR * self.eta * self.grid.spacing * speed_weight
 
-    def free_propagator(self) -> FreePropagator:
+    @cached_property
+    def propagator(self) -> FreePropagator:
+        """exp(-t B), built on first use; it does not depend on eta, so
+        copies with another eta may share it."""
         return FreePropagator(self.coeffs, self.ws)
 
 
@@ -191,9 +186,9 @@ def make_initial(
             f"got {v_init.shape}"
         )
     shift = system.matter_to_field(v_init)
-    u = project_complement_state(shift, system.coeffs, system.ws, system.projector)
+    u = project_complement_state(shift, system.coeffs, system.ws)
     if u_free is not None:
-        u += project_P(u_free, system.coeffs, system.ws, system.projector)
+        u += project_P(u_free, system.coeffs, system.ws)
     return SimState(t=0.0, u=u, v=v_init.copy())
 
 
@@ -240,15 +235,14 @@ def _nonlinear(system: SimSystem, u: np.ndarray, v: np.ndarray):
     return du, f
 
 
-def _lawson_step(
-    system: SimSystem, state: SimState, dt: float, prop: FreePropagator
-) -> SimState:
+def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     """One step of the Lawson(RK4) exponential integrator.
 
     The free flow is pulled out exactly; RK4 acts on the transformed
     nonlinearity. Matter has no free part, so its stages see the plain
     Runge-Kutta combination.
     """
+    prop = system.propagator
     h = dt
     half = 0.5 * h / system.eta
     u, v = state.u, state.v
@@ -269,18 +263,11 @@ def _lawson_step(
     return SimState(state.t + dt, un, vn)
 
 
-def step(
-    system: SimSystem,
-    state: SimState,
-    cfg: IntegratorConfig,
-    prop: FreePropagator | None = None,
-) -> SimState:
+def step(system: SimSystem, state: SimState, cfg: IntegratorConfig) -> SimState:
     """Advance one step with the configured scheme."""
     if cfg.scheme == "rk4":
         return _rk4_step(system, state, cfg.dt)
-    if prop is None:
-        prop = system.free_propagator()
-    return _lawson_step(system, state, cfg.dt, prop)
+    return _lawson_step(system, state, cfg.dt)
 
 
 def _check_cfl(system: SimSystem, cfg: IntegratorConfig) -> None:
@@ -319,9 +306,6 @@ def run(
         raise ValueError(f"stride must be >= 1, got {stride}")
     n_steps = cfg.n_steps
     _check_cfl(system, cfg)
-    prop = None
-    if cfg.scheme == "lawson_exp":
-        prop = system.free_propagator()
 
     records: list[dict] = []
     series: dict[str, list[float]] = {name: [] for name in channels}
@@ -344,7 +328,7 @@ def run(
         snapshot_cb(system, state, 0)
 
     for i in range(1, n_steps + 1):
-        state = step(system, state, cfg, prop)
+        state = step(system, state, cfg)
         state.t = t0 + i * cfg.dt
         if not np.isfinite(state.u).all() or not np.isfinite(state.v).all():
             raise NumericalAbort(f"non-finite state at t={state.t:.6g} (step {i})")
@@ -437,7 +421,7 @@ def mollified_fixed_point(
         raise ValueError("the fixed-point construction needs constant coefficients")
     k1, k2 = system.coeffs.constant_values()
     ws = system.ws
-    prop = system.free_propagator()
+    prop = system.propagator
     spec = MollifierSpec(cfg.n_mol)
     symbol = spec.symbol(ws)
     eta = system.eta

@@ -65,10 +65,17 @@ class Grid3:
         x, y, z = self.axes()
         return np.meshgrid(x, y, z, indexing="ij")
 
-    def zeros(self, components: int | None = None) -> np.ndarray:
-        if components is None:
-            return np.zeros(self.shape)
-        return np.zeros((components,) + self.shape)
+
+def cross(a, b) -> np.ndarray:
+    """Cross product of two leading-axis-3 stacks (arrays or 3-tuples of
+    broadcastable arrays); the result is a (3, ...) array."""
+    return np.stack(
+        [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    )
 
 
 def require_same_grid(*arrays: np.ndarray) -> None:

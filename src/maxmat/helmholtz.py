@@ -5,7 +5,8 @@ with div(k (v - grad phi)) = 0; the two parts are orthogonal in the
 k-weighted inner product. Constant weights reduce to a pure Fourier
 multiplier; variable weights need an elliptic solve, done here by
 preconditioned conjugate gradients with the constant-coefficient inverse
-Laplacian as preconditioner.
+Laplacian as preconditioner, to the relative residual ``PCG_RTOL``
+within ``PCG_MAX_ITER`` iterations.
 
 Constant fields carry no gradient content on the torus, so the zero mode
 always lands in the divergence-free part.
@@ -13,28 +14,18 @@ always lands in the divergence-free part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Coefficients, Grid3, require_same_grid, weighted_norm
-from .spectral import FourierWorkspace
+from .grid import Coefficients, require_same_grid, weighted_norm
+from .spectral import FourierWorkspace, safe_div
+
+# PCG stops once the residual is below PCG_RTOL times the source norm.
+PCG_RTOL = 1e-12
+PCG_MAX_ITER = 400
 
 
 class ProjectionSolveError(RuntimeError):
     """The elliptic solve behind the projector did not reach tolerance."""
-
-
-@dataclass(frozen=True)
-class ProjectorConfig:
-    rtol: float = 1e-12
-    max_iter: int = 400
-
-    def __post_init__(self):
-        if not 0 < self.rtol < 1e-2:
-            raise ValueError(f"rtol out of range: {self.rtol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
 
 def _grad(phi_hat: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
@@ -48,24 +39,19 @@ def _div(v: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
 
 def _inv_neg_laplacian_hat(rho: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
     """Solve -lap phi = rho spectrally; returns phi_hat, zero mode pinned."""
-    rho_hat = ws.forward(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = np.where(ws.xi_sq > 0, rho_hat / np.where(ws.xi_sq > 0, ws.xi_sq, 1.0), 0.0)
-    return phi_hat
+    return safe_div(ws.forward(rho), ws.xi_sq)
 
 
 def project_complement(
     v: np.ndarray,
     kappa: np.ndarray,
     ws: FourierWorkspace,
-    config: ProjectorConfig | None = None,
 ) -> np.ndarray:
     """Gradient (curl-free) part of ``v`` in the kappa-weighted splitting.
 
     Solves -div(kappa grad phi) = -div(kappa v) with mean-zero gauge and
     returns grad phi. Raises :class:`ProjectionSolveError` if PCG stalls.
     """
-    config = config or ProjectorConfig()
     if v.shape != (3,) + ws.grid.shape:
         raise ValueError(f"expected a 3-vector field on {ws.grid.shape}, got {v.shape}")
     require_same_grid(v, kappa)
@@ -92,7 +78,7 @@ def project_complement(
     z = apply_M(r)
     p = z.copy()
     rz = float(np.sum(r * z))
-    for _ in range(config.max_iter):
+    for _ in range(PCG_MAX_ITER):
         Ap = apply_A(p)
         pAp = float(np.sum(p * Ap))
         if pAp <= 0:
@@ -100,7 +86,7 @@ def project_complement(
         alpha = rz / pAp
         phi += alpha * p
         r -= alpha * Ap
-        if float(np.linalg.norm(r)) <= config.rtol * bnorm:
+        if float(np.linalg.norm(r)) <= PCG_RTOL * bnorm:
             phi -= phi.mean()
             return _grad(ws.forward(phi), ws)
         z = apply_M(r)
@@ -108,7 +94,7 @@ def project_complement(
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise ProjectionSolveError(
-        f"PCG did not reach rtol={config.rtol} within {config.max_iter} iterations "
+        f"PCG did not reach rtol={PCG_RTOL} within {PCG_MAX_ITER} iterations "
         f"(residual {float(np.linalg.norm(r)) / bnorm:.3e} of source norm)"
     )
 
@@ -117,24 +103,22 @@ def project_P(
     state: np.ndarray,
     coeffs: Coefficients,
     ws: FourierWorkspace,
-    config: ProjectorConfig | None = None,
 ) -> np.ndarray:
     """Divergence-free part of an EM state, slot by slot in its own weight."""
-    return state - project_complement_state(state, coeffs, ws, config)
+    return state - project_complement_state(state, coeffs, ws)
 
 
 def project_complement_state(
     state: np.ndarray,
     coeffs: Coefficients,
     ws: FourierWorkspace,
-    config: ProjectorConfig | None = None,
 ) -> np.ndarray:
     """Curl-free part of an EM state, slot by slot in its own weight."""
     if state.shape != (6,) + ws.grid.shape:
         raise ValueError(f"expected an EM state on {ws.grid.shape}, got {state.shape}")
     out = np.empty_like(state)
-    out[0:3] = project_complement(state[0:3], coeffs.kappa1, ws, config)
-    out[3:6] = project_complement(state[3:6], coeffs.kappa2, ws, config)
+    out[0:3] = project_complement(state[0:3], coeffs.kappa1, ws)
+    out[3:6] = project_complement(state[3:6], coeffs.kappa2, ws)
     return out
 
 
@@ -143,7 +127,6 @@ def constraint_residual(
     matter_shift: np.ndarray,
     coeffs: Coefficients,
     ws: FourierWorkspace,
-    config: ProjectorConfig | None = None,
 ) -> float:
     """Relative curl-free content of (state - matter_shift).
 
@@ -160,5 +143,5 @@ def constraint_residual(
     if scale == 0.0:
         return 0.0
     diff = state - matter_shift
-    resid = project_complement_state(diff, coeffs, ws, config)
+    resid = project_complement_state(diff, coeffs, ws)
     return weighted_norm(resid, coeffs, ws.grid) / scale

@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product on leading-axis-3 stacks; avoids np.cross axis juggling."""
-    return np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+from .grid import cross
 
 
 class MatterModel(ABC):
@@ -100,10 +91,10 @@ class LandauLifschitzModel(MatterModel):
 
     def eval_F(self, v: np.ndarray, em: np.ndarray) -> np.ndarray:
         ht = self.total_field(v, em[0:3])
-        torque = _cross(v, ht)
+        torque = cross(v, ht)
         out = self.gyro * torque
         if self.damping > 0:
-            out = out - self.damping * _cross(v, torque)
+            out = out - self.damping * cross(v, torque)
         return out
 
     def source_from_matter(self, w: np.ndarray, kappa_d: np.ndarray) -> np.ndarray:

@@ -42,7 +42,8 @@ from .helmholtz import project_complement
 def with_eta(system: SimSystem, eta: float) -> SimSystem:
     """Shallow copy of a system with a different time-scale split.
 
-    Caches (workspace, restricted coefficients) are shared read-only.
+    Caches (workspace, restricted coefficients, and the propagator if the
+    original has built it) are shared read-only.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -61,7 +62,7 @@ def slaved_field(system: SimSystem, v: np.ndarray) -> np.ndarray:
         system.model.source_from_matter(v, system.kappa_d), system.domain
     )
     kappa = system.coeffs.component(system.model.em_slot)
-    return project_complement(shift3, kappa, system.ws, system.projector)
+    return project_complement(shift3, kappa, system.ws)
 
 
 def _slaved_sample(system: SimSystem, v: np.ndarray) -> np.ndarray:
@@ -132,6 +133,9 @@ class EtaStudyConfig:
             raise ValueError("eta_list must be strictly decreasing")
         if self.radius <= 0:
             raise ValueError(f"observation radius must be positive, got {self.radius}")
+        for name in ("dt", "sample_dt", "stiff_dt_factor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.scheme not in ("rk4", "lawson_exp"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         k = self.t_obs / self.sample_dt
@@ -244,11 +248,8 @@ def eta_convergence_study(
         }
         return row, dev_curve
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(task, cfg.eta_list))
-    else:
-        outcomes = [task(eta) for eta in cfg.eta_list]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        outcomes = list(pool.map(task, cfg.eta_list))
 
     rows = [row for row, _ in outcomes]
     curves = {

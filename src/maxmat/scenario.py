@@ -95,6 +95,8 @@ def _as_float(val, path):
 def _as_int(val, path):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(path, f"expected an integer, got {val!r}")
+    if abs(val) > 2**53:
+        raise ConfigError(path, "integer magnitude exceeds 2**53")
     return int(val)
 
 

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Coefficients, Grid3, require_same_grid
+from .grid import Coefficients, Grid3, cross, require_same_grid
+
+
+def safe_div(num, den) -> np.ndarray:
+    """num / den where den > 0, zero elsewhere (the zero mode, say)."""
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
 class FourierWorkspace:
@@ -52,8 +57,7 @@ class FourierWorkspace:
         )
         self.xi_sq = self.xi[0] ** 2 + self.xi[1] ** 2 + self.xi[2] ** 2
         self.xi_norm = np.sqrt(self.xi_sq)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            inv = np.where(self.xi_norm > 0, 1.0 / np.where(self.xi_norm > 0, self.xi_norm, 1.0), 0.0)
+        inv = safe_div(1.0, self.xi_norm)
         self.khat = np.stack([np.broadcast_to(x, self.xi_sq.shape) * inv for x in self.xi])
         self.spectral_shape = self.xi_sq.shape
         # Parseval weights for the half-spectrum: planes kz=0 and kz=Nyquist
@@ -75,34 +79,12 @@ class FourierWorkspace:
         """khat (khat . vhat) on a (3, ...) spectral stack; the zero mode maps to zero."""
         return self.khat * np.einsum("c...,c...->...", self.khat, vhat)
 
-    def cross_xi(self, vhat: np.ndarray) -> np.ndarray:
-        """xi wedge vhat, componentwise on a (3, ...) spectral stack."""
-        x0, x1, x2 = self.xi
-        return np.stack(
-            [
-                x1 * vhat[2] - x2 * vhat[1],
-                x2 * vhat[0] - x0 * vhat[2],
-                x0 * vhat[1] - x1 * vhat[0],
-            ]
-        )
-
-    def cross_khat(self, vhat: np.ndarray) -> np.ndarray:
-        """Unit-wavevector wedge vhat; the zero mode maps to zero."""
-        k = self.khat
-        return np.stack(
-            [
-                k[1] * vhat[2] - k[2] * vhat[1],
-                k[2] * vhat[0] - k[0] * vhat[2],
-                k[0] * vhat[1] - k[1] * vhat[0],
-            ]
-        )
-
 
 def curl(v: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
     """Spectral curl of a (3, n, n, n) vector field."""
     if v.shape != (3,) + ws.grid.shape:
         raise ValueError(f"expected a 3-vector field on {ws.grid.shape}, got {v.shape}")
-    return ws.inverse(1j * ws.cross_xi(ws.forward(v)))
+    return ws.inverse(1j * cross(ws.xi, ws.forward(v)))
 
 
 def apply_B(state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np.ndarray:
@@ -149,8 +131,8 @@ class FreePropagator:
         c = np.cos(self.omega * t)
         s = np.sin(self.omega * t)
         out = np.empty_like(state_hat)
-        out[0:3] = par1 + c * (u1 - par1) - 1j * s * self.ratio12 * ws.cross_khat(u2)
-        out[3:6] = par2 + c * (u2 - par2) + 1j * s * self.ratio21 * ws.cross_khat(u1)
+        out[0:3] = par1 + c * (u1 - par1) - 1j * s * self.ratio12 * cross(ws.khat, u2)
+        out[3:6] = par2 + c * (u2 - par2) + 1j * s * self.ratio21 * cross(ws.khat, u1)
         # khat is zero at the zero mode, so (u - par) there would rotate the
         # mean; re-pin it explicitly.
         out[..., 0, 0, 0] = state_hat[..., 0, 0, 0]
@@ -196,10 +178,7 @@ def _bump(t: np.ndarray) -> np.ndarray:
 def _smooth_cutoff(s: np.ndarray) -> np.ndarray:
     """1 on [0, 1], 0 on [2, inf), smooth monotone transition between."""
     a = _bump(2.0 - s)
-    b = _bump(s - 1.0)
-    with np.errstate(invalid="ignore"):
-        w = np.where(a + b > 0, a / np.where(a + b > 0, a + b, 1.0), 0.0)
-    return w
+    return safe_div(a, a + _bump(s - 1.0))
 
 
 def mollify(fields: np.ndarray, spec: MollifierSpec, ws: FourierWorkspace) -> np.ndarray:

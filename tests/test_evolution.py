@@ -79,13 +79,31 @@ def test_free_flow_lawson_step_is_exact(ll_system, rng):
     u0 = project_P(rng.standard_normal((6,) + sys_.grid.shape), sys_.coeffs, sys_.ws)
     state = SimState(0.0, u0, zero_v)
     cfg = IntegratorConfig(dt=0.05, t_end=0.05, scheme="lawson_exp")
-    out = step(sys_, state, cfg, sys_.free_propagator())
-    exact = sys_.free_propagator().apply(u0, 0.05)
+    out = step(sys_, state, cfg)
+    exact = sys_.propagator.apply(u0, 0.05)
     assert (
         weighted_norm(out.u - exact, sys_.coeffs, sys_.grid)
         < 1e-13 * weighted_norm(u0, sys_.coeffs, sys_.grid)
     )
     assert np.all(out.v == 0.0)
+
+
+def test_propagator_built_once_per_system(ll_system, ll_state, monkeypatch):
+    import maxmat.evolution as evolution
+
+    built = []
+
+    class Counting(evolution.FreePropagator):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(evolution, "FreePropagator", Counting)
+    cfg = IntegratorConfig(dt=1e-3, t_end=2e-3, scheme="lawson_exp")
+    run(ll_system, ll_state, cfg)
+    run(ll_system, ll_state, cfg)
+    step(ll_system, ll_state, cfg)
+    assert len(built) == 1
 
 
 def test_rk4_and_lawson_agree_at_order_four(ll_system, ll_state):

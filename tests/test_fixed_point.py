@@ -49,7 +49,7 @@ def test_free_flow_converges_immediately(fp_system, rng):
     res = mollified_fixed_point(sys_, state, FixedPointConfig(n_mol=4, window=0.1, n_steps=20))
     assert res.iterations == 1
     assert res.distances[-1] == 0.0
-    exact = sys_.free_propagator().apply(u0, 0.1)
+    exact = sys_.propagator.apply(u0, 0.1)
     assert (
         weighted_norm(res.state.u - exact, sys_.coeffs, sys_.grid)
         < 1e-12 * weighted_norm(u0, sys_.coeffs, sys_.grid)

@@ -20,6 +20,8 @@ from maxmat import (
     weighted_norm,
 )
 
+from maxmat.grid import cross
+
 from .conftest import random_state, smooth_coefficients
 
 
@@ -78,6 +80,19 @@ def test_ball_mask_coordinates(grid16):
     assert xyz.shape == (3, dom.count)
     r = np.sqrt(((xyz - 0.5) ** 2).sum(axis=0))
     assert r.max() <= 0.25 + 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cross_matches_numpy(rng, dtype):
+    a = rng.standard_normal((3, 5, 4, 3)).astype(dtype)
+    b = rng.standard_normal((3, 5, 4, 3)).astype(dtype)
+    if dtype is complex:
+        b = b + 1j * rng.standard_normal(b.shape)
+    np.testing.assert_allclose(cross(a, b), np.cross(a, b, axis=0), rtol=1e-14, atol=1e-14)
+    # a 3-tuple of broadcastable factors (wavevector style) gives the same stack
+    x = (a[0][:, :1, :1], a[1][:1, :, :1], a[2][:1, :1, :])
+    full = np.stack([np.broadcast_to(c, b.shape[1:]) for c in x])
+    np.testing.assert_array_equal(cross(x, b), cross(full, b))
 
 
 def test_extend_restrict_round_trip(grid16, rng):

@@ -17,9 +17,9 @@ from maxmat import (
     weighted_inner,
     weighted_norm,
 )
+import maxmat.helmholtz as helmholtz
 from maxmat.helmholtz import (
     ProjectionSolveError,
-    ProjectorConfig,
     constraint_residual,
     project_P,
     project_complement,
@@ -89,7 +89,7 @@ def test_variable_path_idempotent_and_orthogonal(grid16, ws16, rng):
 def test_complement_is_curl_free(grid16, ws16, rng, variable):
     co = smooth_coefficients(grid16) if variable else Coefficients.constant(grid16, 1.0, 3.0)
     v = rng.standard_normal((3,) + grid16.shape)
-    g = project_complement(v, co.kappa1, ws16, ProjectorConfig())
+    g = project_complement(v, co.kappa1, ws16)
     assert np.abs(curl(g, ws16)).max() < 1e-10 * max(np.abs(g).max(), 1e-30)
 
 
@@ -97,7 +97,7 @@ def test_complement_is_curl_free(grid16, ws16, rng, variable):
 def test_remainder_is_weighted_div_free(grid16, ws16, rng, variable):
     co = smooth_coefficients(grid16) if variable else Coefficients.constant(grid16, 1.0, 3.0)
     v = rng.standard_normal((3,) + grid16.shape)
-    g = project_complement(v, co.kappa1, ws16, ProjectorConfig())
+    g = project_complement(v, co.kappa1, ws16)
     w = np.fft.rfftn(co.kappa1 * (v - g), axes=(-3, -2, -1))
     div_hat = sum(1j * ws16.xi[i] * w[i] for i in range(3))
     div = np.fft.irfftn(div_hat, s=grid16.shape, axes=(0, 1, 2))
@@ -107,13 +107,14 @@ def test_remainder_is_weighted_div_free(grid16, ws16, rng, variable):
     assert np.abs(div).max() < 1e-9 * np.abs(div0).max()
 
 
-def test_complement_matches_dense_oracle(grid8, rng):
+def test_complement_matches_dense_oracle(grid8, rng, monkeypatch):
+    monkeypatch.setattr(helmholtz, "PCG_RTOL", 1e-13)
     grid = grid8
     xx, yy, zz = grid.meshgrid()
     kappa = 1.0 + 0.5 * np.exp(-((xx - 0.5) ** 2 + (yy - 0.5) ** 2 + (zz - 0.5) ** 2) / 0.03)
     v = rng.standard_normal((3,) + grid.shape)
     ws = FourierWorkspace(grid)
-    got = project_complement(v, kappa, ws, ProjectorConfig(rtol=1e-13))
+    got = project_complement(v, kappa, ws)
     expect = oracle_complement_dense(v, kappa, grid)
     assert np.abs(got - expect).max() < 1e-8 * np.abs(expect).max()
 
@@ -124,7 +125,7 @@ def test_complement_recovers_pure_gradient(grid16, ws16, rng):
     ph = np.fft.rfftn(phi)
     g = np.stack([np.fft.irfftn(1j * ws16.xi[i] * ph, s=grid16.shape, axes=(0, 1, 2)) for i in range(3)])
     co = smooth_coefficients(grid16)
-    out = project_complement(g, co.kappa1, ws16, ProjectorConfig())
+    out = project_complement(g, co.kappa1, ws16)
     assert np.abs(out - g).max() < 1e-9 * np.abs(g).max()
 
 
@@ -149,42 +150,37 @@ def test_projector_keeps_spatial_mean(grid16, ws16, rng):
 def test_constraint_residual_normalization(grid16, ws16, rng):
     co = Coefficients.constant(grid16, 1.0, 1.0)
     zero = np.zeros((6,) + grid16.shape)
-    assert constraint_residual(zero, zero, co, ws16, ProjectorConfig()) == 0.0
+    assert constraint_residual(zero, zero, co, ws16) == 0.0
     u = random_state(rng, grid16)
-    r1 = constraint_residual(u, zero, co, ws16, ProjectorConfig())
-    r2 = constraint_residual(3.0 * u, zero, co, ws16, ProjectorConfig())
+    r1 = constraint_residual(u, zero, co, ws16)
+    r2 = constraint_residual(3.0 * u, zero, co, ws16)
     # scale-invariant in the state
     assert r2 == pytest.approx(r1, rel=1e-10)
     # a projected state has no curl-free content at all
     pu = project_P(u, co, ws16)
-    assert constraint_residual(pu, zero, co, ws16, ProjectorConfig()) < 1e-11
+    assert constraint_residual(pu, zero, co, ws16) < 1e-11
 
 
 def test_complement_state_applies_per_slot(grid16, ws16, rng):
     co = smooth_coefficients(grid16)
     u = random_state(rng, grid16)
-    out = project_complement_state(u, co, ws16, ProjectorConfig())
+    out = project_complement_state(u, co, ws16)
     np.testing.assert_allclose(
         out[0:3],
-        project_complement(u[0:3], co.kappa1, ws16, ProjectorConfig()),
+        project_complement(u[0:3], co.kappa1, ws16),
         atol=1e-12,
     )
     np.testing.assert_allclose(
         out[3:6],
-        project_complement(u[3:6], co.kappa2, ws16, ProjectorConfig()),
+        project_complement(u[3:6], co.kappa2, ws16),
         atol=1e-12,
     )
 
 
-def test_solver_reports_exhaustion(grid16, ws16, rng):
+def test_solver_reports_exhaustion(grid16, ws16, rng, monkeypatch):
+    monkeypatch.setattr(helmholtz, "PCG_RTOL", 1e-15)
+    monkeypatch.setattr(helmholtz, "PCG_MAX_ITER", 2)
     co = smooth_coefficients(grid16)
     v = rng.standard_normal((3,) + grid16.shape)
     with pytest.raises(ProjectionSolveError):
-        project_complement(v, co.kappa1, ws16, ProjectorConfig(rtol=1e-15, max_iter=2))
-
-
-def test_projector_config_validation():
-    with pytest.raises(ValueError):
-        ProjectorConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        ProjectorConfig(max_iter=0)
+        project_complement(v, co.kappa1, ws16)

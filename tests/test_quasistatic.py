@@ -215,3 +215,6 @@ def test_eta_study_config_validation():
         EtaStudyConfig(threads=0)
     with pytest.raises(ValueError):
         EtaStudyConfig(scheme="verlet")
+    for bad in ({"dt": 0.0}, {"dt": -1.0}, {"sample_dt": 0.0}, {"stiff_dt_factor": 0.0}):
+        with pytest.raises(ValueError, match="must be positive"):
+            EtaStudyConfig(**bad)

@@ -247,6 +247,7 @@ NAN, INF = float("nan"), float("inf")
     ("quasistatic.dt", 0.0, None),
     ("quasistatic.sample_dt", 0.0, None),
     ("quasistatic.stiff_dt_factor", 0.0, None),
+    ("initial.winding", 10**400, {"matter": "modulated"}),
 ])
 def test_bad_number_exit_two(tiny_yaml, tmp_path, capsys, key, value, initial):
     m = yaml.safe_load(tiny_yaml.read_text())
