@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import standard_monitors, to_monitor_records, write_csv
+from .diagnostics import standard_monitors, sup_norm, to_monitor_records, write_csv
 from .evolution import (
     FixedPointError,
     IntegratorConfig,
@@ -114,7 +114,7 @@ def _cmd_reduced(args) -> int:
         rows.append({
             "t": float(t),
             "v_l2": matter_l2_norm(v, system.grid),
-            "v_sup": float(np.sqrt((v * v).sum(axis=0)).max()),
+            "v_sup": sup_norm(v),
         })
     csv_path = out / f"{scn.name}_reduced.csv"
     write_csv(csv_path, rows, schema="reduced")
@@ -302,7 +302,7 @@ def _validation_checks():
         v0 = modulated_magnetization(system.domain, 0.6, 1)
         state = make_initial(system, v0)
         cfg = IntegratorConfig(dt=2e-3, t_end=0.04, scheme="rk4")
-        final, recs, _ = run(system, state, cfg, monitors={
+        _, recs, _ = run(system, state, cfg, monitors={
             "constraint": lambda s, st: s.constraint_residual(st)
         }, stride=10)
         worst = max(r["constraint"] for r in recs)
@@ -339,10 +339,8 @@ def _validation_checks():
         d[0, 0, 1] = d[0, 1, 0] = 1.0
         model = BlochModel(levels=(0.0, 1.0), dipole=d)
         grid = Grid3(8, 1.0)
-        coeffs = Coefficients.constant(grid, 1.0, 1.0)
         w = 2 * grid.spacing
         domain = box_mask(grid, (0.5, 0.5, 0.5), (w, w, w))
-        system = SimSystem(grid, coeffs, domain, model)
         rho = np.zeros((2, 2, domain.count), dtype=complex)
         rho[0, 0] = 1.0
         em = np.zeros((6, domain.count))
@@ -403,7 +401,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for flag, low in (("seed", 0), ("threads", 1)):
+        for flag, low in (("seed", 0), ("threads", 1), ("snapshots", 0)):
             if (value := getattr(args, flag, None)) is not None and value < low:
                 raise ConfigError(f"--{flag}", f"must be >= {low}, got {value}")
         return _COMMANDS[args.command](args)

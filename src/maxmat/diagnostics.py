@@ -106,14 +106,17 @@ def bound_monitor(records: list[MonitorRecord], growth_bound: float) -> float:
     return worst
 
 
+def sup_norm(v: np.ndarray) -> float:
+    """Pointwise sup norm: the largest per-voxel Euclidean norm of a (d, m) array."""
+    return float(np.sqrt(np.einsum("dm,dm->m", v, v).max()))
+
+
 def standard_monitors(system, v_init: np.ndarray) -> dict:
     """Named monitor callables for a run's CSV, chosen per model."""
     mons = {
         "em_norm": lambda sys_, s: weighted_norm(s.u, sys_.coeffs, sys_.grid),
         "v_l2": lambda sys_, s: matter_l2_norm(s.v, sys_.grid),
-        "v_sup": lambda sys_, s: float(
-            np.sqrt(np.einsum("dm,dm->m", s.v, s.v).max())
-        ),
+        "v_sup": lambda sys_, s: sup_norm(s.v),
         "constraint": lambda sys_, s: sys_.constraint_residual(s),
     }
     model = system.model
@@ -130,9 +133,7 @@ def standard_monitors(system, v_init: np.ndarray) -> dict:
         mons["trace_dev"] = lambda sys_, s: float(
             np.abs(s.v[:n].sum(axis=0) - trace0).max()
         )
-        mons["rho_frobenius"] = lambda sys_, s: float(
-            np.sqrt(np.einsum("dm,dm->m", s.v, s.v).max())
-        )
+        mons["rho_frobenius"] = lambda sys_, s: sup_norm(s.v)
     return mons
 
 

@@ -100,8 +100,9 @@ class SimSystem:
     """Grid, coefficients, domain, matter model, and their cached glue.
 
     ``eta`` scales the skew part as -(1/eta) B u; eta = 1 recovers the
-    plain system. Construction wires the Fourier workspace and the
-    restriction of the coupled coefficient to the domain voxels.
+    plain system. Construction wires the Fourier workspace, the coupled
+    EM slot ``slot`` and its coefficient field ``kappa``, and the
+    restriction ``kappa_d`` of that field to the domain voxels.
     """
 
     def __init__(
@@ -124,23 +125,34 @@ class SimSystem:
         self.model = model
         self.eta = float(eta)
         self.ws = FourierWorkspace(grid)
-        self.kappa_d = coeffs.component(model.em_slot)[domain.mask]
-        self._slot = slice(0, 3) if model.em_slot == 1 else slice(3, 6)
+        self.slot = slice(0, 3) if model.em_slot == 1 else slice(3, 6)
+        self.kappa = coeffs.component(model.em_slot)
+        self.kappa_d = self.kappa[domain.mask]
+
+    def matter_state(self, v) -> np.ndarray:
+        """``v`` as a float (dim, m) matter array; a ValueError names a wrong shape."""
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        want = (self.model.dim, self.domain.count)
+        if v.shape != want:
+            raise ValueError(f"matter state must have shape {want}, got {v.shape}")
+        return v
 
     def field_sample(self, u: np.ndarray) -> np.ndarray:
         return restrict_to_domain(u, self.domain)
 
+    def source_field(self, w: np.ndarray) -> np.ndarray:
+        """Weighted coupling of a matter array as a coupled-slot field, zero off the domain."""
+        return extend_by_zero(self.model.source_from_matter(w, self.kappa_d), self.domain)
+
     def matter_to_field(self, w: np.ndarray) -> np.ndarray:
-        """Weighted coupling of a matter-shaped array into an EM-shaped stack.
+        """:meth:`source_field` placed into an otherwise zero EM stack.
 
         Applied to the matter tendency this is the field source; applied
         to the state it is the shift whose curl-free part the constraint
         compares against.
         """
         out = np.zeros((6,) + self.grid.shape)
-        out[self._slot] = extend_by_zero(
-            self.model.source_from_matter(w, self.kappa_d), self.domain
-        )
+        out[self.slot] = self.source_field(w)
         return out
 
     def matter_tendency(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,7 +162,7 @@ class SimSystem:
         f = self.matter_tendency(u, v)
         du = apply_B(u, self.coeffs, self.ws)
         du *= -1.0 / self.eta
-        du[self._slot][:, self.domain.mask] += self.model.source_from_matter(
+        du[self.slot][:, self.domain.mask] += self.model.source_from_matter(
             f, self.kappa_d
         )
         return du, f
@@ -179,12 +191,7 @@ def make_initial(
     matter is installed, so the constraint residual starts at solver
     tolerance.
     """
-    v_init = np.atleast_2d(np.asarray(v_init, dtype=float))
-    if v_init.shape != (system.model.dim, system.domain.count):
-        raise ValueError(
-            f"matter state must have shape {(system.model.dim, system.domain.count)}, "
-            f"got {v_init.shape}"
-        )
+    v_init = system.matter_state(v_init)
     shift = system.matter_to_field(v_init)
     u = project_complement_state(shift, system.coeffs, system.ws)
     if u_free is not None:
@@ -204,21 +211,28 @@ def _rk4(f, y: tuple, dt: float) -> tuple:
     )
 
 
+def _sampler(stride: int, n_steps: int):
+    """Predicate on step indices: step 0, every ``stride``-th step and step ``n_steps``."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return lambda i: i % stride == 0 or i == n_steps
+
+
 def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
-    """RK4 on v' = f(v), sampled at t=0, every ``stride`` steps and at the end.
+    """RK4 on v' = f(v), sampled as :func:`_sampler` says.
 
     Returns (times, values); raises :class:`NumericalAbort` as soon as
     the state stops being finite.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    sampled = _sampler(stride, n_steps)
     v = v0.copy()
-    times, values = [0.0], [v.copy()]
-    for i in range(1, n_steps + 1):
-        (v,) = _rk4(lambda w: (f(w),), (v,), dt)
-        if not np.isfinite(v).all():
-            raise NumericalAbort(f"non-finite matter state at t={i * dt:.6g} (step {i})")
-        if i % stride == 0 or i == n_steps:
+    times, values = [], []
+    for i in range(n_steps + 1):
+        if i > 0:
+            (v,) = _rk4(lambda w: (f(w),), (v,), dt)
+            if not np.isfinite(v).all():
+                raise NumericalAbort(f"non-finite matter state at t={i * dt:.6g} (step {i})")
+        if sampled(i):
             times.append(i * dt)
             values.append(v.copy())
     return np.asarray(times), np.asarray(values)
@@ -296,48 +310,37 @@ def run(
     ``monitors`` maps column names to callables (system, state) -> float,
     evaluated at t=0, every ``stride`` steps, and at the final time.
     ``channels`` has the same signature but is sampled at every step
-    boundary (for time-quadrature of rates). Returns
+    boundary (for time-quadrature of rates). ``snapshot_cb(system,
+    state, step)`` is called on the monitor rule with ``snapshot_stride``
+    in place of ``stride``, and never when that is 0. Returns
     (final_state, records, channel_series) where records is a list of
     dicts and channel_series maps names to arrays over all step times.
     """
     monitors = monitors or {}
     channels = channels or {}
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     n_steps = cfg.n_steps
+    sampled = _sampler(stride, n_steps)
+    snap = snapshot_cb is not None and snapshot_stride != 0 and _sampler(snapshot_stride, n_steps)
     _check_cfl(system, cfg)
 
     records: list[dict] = []
     series: dict[str, list[float]] = {name: [] for name in channels}
-
-    def sample_monitors(s: SimState, istep: int) -> None:
-        row = {"t": s.t, "step": istep}
-        for name, fn in monitors.items():
-            row[name] = float(fn(system, s))
-        records.append(row)
-
-    def sample_channels(s: SimState) -> None:
-        for name, fn in channels.items():
-            series[name].append(float(fn(system, s)))
-
     state = state.copy()
     t0 = state.t
-    sample_monitors(state, 0)
-    sample_channels(state)
-    if snapshot_cb is not None and snapshot_stride > 0:
-        snapshot_cb(system, state, 0)
-
-    for i in range(1, n_steps + 1):
-        state = step(system, state, cfg)
-        state.t = t0 + i * cfg.dt
-        if not np.isfinite(state.u).all() or not np.isfinite(state.v).all():
-            raise NumericalAbort(f"non-finite state at t={state.t:.6g} (step {i})")
-        sample_channels(state)
-        if i % stride == 0 or i == n_steps:
-            sample_monitors(state, i)
-        if snapshot_cb is not None and snapshot_stride > 0 and (
-            i % snapshot_stride == 0 or i == n_steps
-        ):
+    for i in range(n_steps + 1):
+        if i > 0:
+            state = step(system, state, cfg)
+            state.t = t0 + i * cfg.dt
+            if not np.isfinite(state.u).all() or not np.isfinite(state.v).all():
+                raise NumericalAbort(f"non-finite state at t={state.t:.6g} (step {i})")
+        for name, fn in channels.items():
+            series[name].append(float(fn(system, state)))
+        if sampled(i):
+            row = {"t": state.t, "step": i}
+            for name, fn in monitors.items():
+                row[name] = float(fn(system, state))
+            records.append(row)
+        if snap and snap(i):
             snapshot_cb(system, state, i)
 
     channel_arrays = {name: np.asarray(vals) for name, vals in series.items()}
@@ -417,11 +420,9 @@ def mollified_fixed_point(
     Raises :class:`ContractionError` when iterate distances stop
     shrinking, and :class:`FixedPointError` when max_iter runs out.
     """
-    if not system.coeffs.is_constant:
-        raise ValueError("the fixed-point construction needs constant coefficients")
-    k1, k2 = system.coeffs.constant_values()
+    prop = system.propagator  # raises ValueError on variable coefficients
+    k1, k2 = prop.kappa1, prop.kappa2
     ws = system.ws
-    prop = system.propagator
     spec = MollifierSpec(cfg.n_mol)
     symbol = spec.symbol(ws)
     eta = system.eta

@@ -169,11 +169,15 @@ def box_mask(grid: Grid3, center, half_extent) -> DomainMask:
     return DomainMask(m, grid)
 
 
-def ball_mask(grid: Grid3, center, radius: float) -> DomainMask:
+def ball_indicator(grid: Grid3, center, radius: float) -> np.ndarray:
+    """Boolean field of the cells whose centers lie within ``radius`` of ``center``."""
     xx, yy, zz = grid.meshgrid()
     c = np.asarray(center, dtype=float)
-    r2 = (xx - c[0]) ** 2 + (yy - c[1]) ** 2 + (zz - c[2]) ** 2
-    return DomainMask(r2 <= radius**2, grid)
+    return (xx - c[0]) ** 2 + (yy - c[1]) ** 2 + (zz - c[2]) ** 2 <= radius**2
+
+
+def ball_mask(grid: Grid3, center, radius: float) -> DomainMask:
+    return DomainMask(ball_indicator(grid, center, radius), grid)
 
 
 def extend_by_zero(values: np.ndarray, domain: DomainMask) -> np.ndarray:

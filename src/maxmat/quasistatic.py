@@ -3,8 +3,10 @@
 As eta shrinks, the skew part -(1/eta) B u rotates the divergence-free
 field content ever faster while the matter source stays slow, so that
 content averages away locally and the field is increasingly enslaved to
-the matter: u -> (Id - P)(shift of v). The limit model integrates the
-matter law alone with the slaved field closed over it.
+the matter: u -> (Id - P)(shift of v), with the shift the system's own
+coupling ``SimSystem.source_field(v)``. The limit model integrates the
+matter law alone with the slaved field closed over it; its final state
+is ``make_initial`` of the final matter state.
 
 The study integrates the scaled system for a decreasing list of eta,
 measures the surviving divergence-free field content in a fixed
@@ -33,9 +35,10 @@ from .evolution import (
     SimState,
     SimSystem,
     _rk4_path,
+    make_initial,
     run,
 )
-from .grid import extend_by_zero, matter_l2_norm, restrict_to_domain
+from .grid import ball_indicator, matter_l2_norm, restrict_to_domain
 from .helmholtz import project_complement
 
 
@@ -58,17 +61,14 @@ def slaved_field(system: SimSystem, v: np.ndarray) -> np.ndarray:
     Returns the (3, n, n, n) gradient part of the matter shift; the
     other slot of the limit field is identically zero.
     """
-    shift3 = extend_by_zero(
-        system.model.source_from_matter(v, system.kappa_d), system.domain
-    )
-    kappa = system.coeffs.component(system.model.em_slot)
-    return project_complement(shift3, kappa, system.ws)
+    return project_complement(system.source_field(v), system.kappa, system.ws)
 
 
 def _slaved_sample(system: SimSystem, v: np.ndarray) -> np.ndarray:
     em = np.zeros((6, system.domain.count))
-    em[system._slot] = restrict_to_domain(slaved_field(system, v), system.domain)
+    em[system.slot] = restrict_to_domain(slaved_field(system, v), system.domain)
     return em
+
 
 def reduced_rhs(system: SimSystem, v: np.ndarray) -> np.ndarray:
     """Matter tendency with the field closed over the matter state."""
@@ -97,18 +97,12 @@ def run_reduced(
     The scheme field of ``cfg`` is ignored: the limit model has no stiff
     part, classical RK4 is always used.
     """
-    v = np.atleast_2d(np.asarray(v_init, dtype=float))
-    if v.shape != (system.model.dim, system.domain.count):
-        raise ValueError(
-            f"matter state must have shape {(system.model.dim, system.domain.count)}, "
-            f"got {v.shape}"
-        )
     times, samples = _rk4_path(
-        lambda w: reduced_rhs(system, w), v, cfg.n_steps, cfg.dt, sample_stride
+        lambda w: reduced_rhs(system, w), system.matter_state(v_init),
+        cfg.n_steps, cfg.dt, sample_stride,
     )
-    u = np.zeros((6,) + system.grid.shape)
-    u[system._slot] = slaved_field(system, samples[-1])
-    final = SimState(t=cfg.t_end, u=u, v=samples[-1].copy())
+    final = make_initial(system, samples[-1])
+    final.t = cfg.t_end
     return ReducedResult(times=times, v_samples=samples, state=final)
 
 
@@ -156,10 +150,10 @@ class EtaStudyResult:
     v_deviation_curves: dict[float, np.ndarray]
 
 
-def _observation_mask(system: SimSystem, radius: float) -> np.ndarray:
-    xx, yy, zz = system.grid.meshgrid()
-    c = 0.5 * system.grid.box_len
-    return (xx - c) ** 2 + (yy - c) ** 2 + (zz - c) ** 2 <= radius**2
+def _substeps(sample_dt: float, dt_cap: float) -> tuple[int, float]:
+    """(count, length) of the fewest equal sub-steps of ``sample_dt`` no longer than ``dt_cap``."""
+    n_sub = max(1, ceil(sample_dt / dt_cap - 1e-12))
+    return n_sub, sample_dt / n_sub
 
 
 def _pu_local_norm(system: SimSystem, u: np.ndarray, ball: np.ndarray) -> float:
@@ -189,12 +183,8 @@ def _eta_run(
     if not system.coeffs.is_constant:
         raise ValueError("eta study needs constant coefficients")
     sys_eta = with_eta(system, eta)
-    if cfg.scheme == "lawson_exp":
-        dt_wanted = min(cfg.dt, cfg.stiff_dt_factor * eta)
-    else:
-        dt_wanted = min(cfg.dt, sys_eta.cfl_limit())
-    n_sub = max(1, ceil(cfg.sample_dt / dt_wanted - 1e-12))
-    dt = cfg.sample_dt / n_sub
+    stiff_cap = cfg.stiff_dt_factor * eta if cfg.scheme == "lawson_exp" else sys_eta.cfl_limit()
+    n_sub, dt = _substeps(cfg.sample_dt, min(cfg.dt, stiff_cap))
 
     v_samples = []
     _, records, _ = run(
@@ -217,14 +207,13 @@ def eta_convergence_study(
     Independent eta runs may execute on a thread pool; results are
     collected by index so the output is identical for any thread count.
     """
-    ball = _observation_mask(system, cfg.radius)
+    c = 0.5 * system.grid.box_len
+    ball = ball_indicator(system.grid, (c, c, c), cfg.radius)
     n_samples = int(round(cfg.t_obs / cfg.sample_dt))
     times = cfg.sample_dt * np.arange(n_samples + 1)
 
-    n_sub0 = max(1, ceil(cfg.sample_dt / cfg.dt - 1e-12))
-    red_cfg = IntegratorConfig(
-        dt=cfg.sample_dt / n_sub0, t_end=cfg.t_obs, scheme="rk4"
-    )
+    n_sub0, dt0 = _substeps(cfg.sample_dt, cfg.dt)
+    red_cfg = IntegratorConfig(dt=dt0, t_end=cfg.t_obs, scheme="rk4")
     reduced = run_reduced(system, state0.v, red_cfg, sample_stride=n_sub0)
 
     def task(eta: float):

@@ -19,7 +19,7 @@ import yaml
 
 from .evolution import FixedPointConfig, IntegratorConfig, SimState, SimSystem
 from .evolution import _check_cfl, make_initial
-from .grid import Coefficients, DomainMask, Grid3, ball_mask, box_mask
+from .grid import Coefficients, DomainMask, Grid3, ball_indicator, ball_mask, box_mask
 from .models import BlochModel, LandauLifschitzModel, MatterModel, pack_rho
 from .quasistatic import EtaStudyConfig
 
@@ -157,9 +157,8 @@ def _smooth_indicator(grid: Grid3, center, radius: float, width: float) -> np.nd
     The result lives in [0, 1], equals 1 deep inside the ball and 0 far
     outside, and is as smooth as the sampling allows.
     """
+    ind = ball_indicator(grid, center, radius).astype(float)
     xx, yy, zz = grid.meshgrid()
-    c = np.asarray(center, dtype=float)
-    ind = ((xx - c[0]) ** 2 + (yy - c[1]) ** 2 + (zz - c[2]) ** 2 <= radius**2).astype(float)
     L = grid.box_len
     dx = np.minimum(xx, L - xx)
     dy = np.minimum(yy, L - yy)
@@ -211,7 +210,7 @@ def _build_coefficients(sec, grid: Grid3) -> Coefficients:
 
 _DOMAIN_SHAPES = {
     "box": {"center": (_vec3, REQUIRED), "half_extent": (_vec3, REQUIRED)},
-    "ball": {"center": (_vec3, REQUIRED), "radius": (_as_float, REQUIRED)},
+    "ball": {"center": (_vec3, REQUIRED), "radius": (_positive, REQUIRED)},
 }
 
 

@@ -196,6 +196,14 @@ def test_run_monitor_and_channel_sampling(ll_system, ll_state):
     assert final.t == pytest.approx(0.1)
 
 
+def test_run_rejects_negative_snapshot_stride(ll_system, ll_state):
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.02, scheme="rk4")
+    never = run(ll_system, ll_state, cfg, snapshot_cb=lambda *a: pytest.fail("called"))
+    assert never[0].t == pytest.approx(0.02)
+    with pytest.raises(ValueError, match="stride"):
+        run(ll_system, ll_state, cfg, snapshot_cb=lambda *a: None, snapshot_stride=-1)
+
+
 def test_matter_paths_reject_zero_sample_stride(ll_system, ll_state):
     model = ll_system.model
     em = np.zeros((6, ll_state.v.shape[1]))

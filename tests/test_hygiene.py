@@ -1,6 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses
+or assigns a local it never reads, and every name the benchmark tracer
+wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,78 @@ def test_scan_finds_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _own_stores(fn):
+    """Name nodes a function body stores to, outside its nested functions."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """Locals a function assigns that nothing in it, nested functions
+    included, reads; names starting with an underscore are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loaded = set()
+        declared = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        dead = {
+            node.id: node.lineno for node in _own_stores(fn)
+            if node.id not in loaded | declared and not node.id.startswith("_")
+        }
+        out += [f"{fn.name}: {name} (line {line})" for name, line in sorted(dead.items())]
+    return out
+
+
+def test_scan_finds_unused_local():
+    src = (
+        "def f(a):\n"
+        "    b = 1\n"
+        "    c, _d = a\n"
+        "    for i in a:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        nonlocal c\n"
+        "        c += 1\n"
+        "        return [x for x in a]\n"
+        "    return g, c\n"
+    )
+    assert unused_locals(src) == ["f: b (line 2)", "f: i (line 4)"]
+    assert unused_locals("def h(a):\n    y = a\n    return lambda: y\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    """The benchmark's tracer patches every name it lists, and puts them back."""
+    spans_path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    from maxmat import evolution
+
+    run = evolution.run
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert evolution.run is not run
+    finally:
+        tracer.uninstall()
+    assert evolution.run is run

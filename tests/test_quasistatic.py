@@ -149,6 +149,22 @@ def test_eta_study_small(qs_system):
         assert res.v_deviation_curves[eta].shape == (11,)
 
 
+def test_eta_study_rk4_matches_lawson(qs_system):
+    state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
+    kw = dict(eta_list=(0.4, 0.2, 0.1, 0.05), radius=0.3, t_obs=0.2, dt=2e-3,
+              sample_dt=0.02, stiff_dt_factor=0.025)
+    rk4 = eta_convergence_study(qs_system, state0, EtaStudyConfig(scheme="rk4", **kw))
+    lawson = eta_convergence_study(qs_system, state0, EtaStudyConfig(**kw))
+    assert not any(r["failed"] for r in rk4.rows + lawson.rows)
+    # at eta = 0.05 the rk4 stability limit 1.5625e-3 is below dt, so the
+    # sample interval 0.02 is cut into 13 sub-steps
+    assert with_eta(qs_system, 0.05).cfl_limit() < kw["dt"]
+    assert rk4.rows[-1]["dt"] == 0.02 / 13
+    for a, b in zip(rk4.rows, lawson.rows):
+        assert a["pu_norm"] == pytest.approx(b["pu_norm"], rel=5e-2)
+        assert a["v_deviation"] == pytest.approx(b["v_deviation"], rel=1e-2)
+
+
 def test_eta_study_thread_determinism(qs_system):
     state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
     kw = dict(eta_list=(0.4, 0.2), radius=0.3, t_obs=0.1, dt=2e-3,

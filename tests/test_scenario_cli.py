@@ -426,6 +426,18 @@ class TestCli:
         assert main(argv) == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "reduced"])
+    def test_negative_snapshots_exit_two(self, tiny_yaml, tmp_path, capsys, command):
+        argv = [command, str(tiny_yaml), "--out-dir", str(tmp_path), "--snapshots", "-1"]
+        assert main(argv) == 2
+        assert "--snapshots" in capsys.readouterr().err
+
+    def test_negative_ball_radius_exit_two(self, tmp_path, capsys):
+        m = base_mapping(domain={"shape": "ball", "center": [0.5, 0.5, 0.5], "radius": -0.15})
+        path = write_yaml(tmp_path, m)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config error: domain.radius:" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["run", "s.yaml", "--threads", "2"],
