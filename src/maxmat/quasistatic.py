@@ -38,7 +38,7 @@ from .evolution import (
     make_initial,
     run,
 )
-from .grid import ball_indicator, matter_l2_norm, restrict_to_domain
+from .grid import ball_indicator, matter_l2_norm
 from .helmholtz import project_complement
 
 
@@ -64,15 +64,9 @@ def slaved_field(system: SimSystem, v: np.ndarray) -> np.ndarray:
     return project_complement(system.source_field(v), system.kappa, system.ws)
 
 
-def _slaved_sample(system: SimSystem, v: np.ndarray) -> np.ndarray:
-    em = np.zeros((6, system.domain.count))
-    em[system.slot] = restrict_to_domain(slaved_field(system, v), system.domain)
-    return em
-
-
 def reduced_rhs(system: SimSystem, v: np.ndarray) -> np.ndarray:
     """Matter tendency with the field closed over the matter state."""
-    return system.model.eval_F(v, _slaved_sample(system, v))
+    return system.coupled_tendency(slaved_field(system, v), v)
 
 
 @dataclass

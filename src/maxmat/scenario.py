@@ -32,6 +32,18 @@ class ConfigError(Exception):
         super().__init__(f"{key}: {reason}")
 
 
+# Peak memory of one run per grid point, from the growth of the process's
+# peak resident size with n on the benchmark jobs: about 500 bytes per
+# point for the Lawson run (16^3 to 64^3; the whole 64^3 benchmark process
+# peaks near 215 MB) and the smooth-coefficient rk4 run (16^3 to 32^3),
+# and 940 for the 2-thread eta sweep (16^3 to 32^3). 1024 bytes is 128
+# float64 values.
+RUN_BYTES_PER_POINT = 1024
+# Largest estimated working set (RUN_BYTES_PER_POINT * n^3) a scenario
+# may ask for: 128^3 (2 GiB) passes, 256^3 (16 GiB) does not.
+GRID_BUDGET_BYTES = 4 * 2**30
+
+
 # Schema defaults besides plain values: the key must be present, or an absent
 # key is left out so the dataclass built from the section supplies its default.
 REQUIRED = object()
@@ -411,6 +423,12 @@ def parse_scenario(mapping, name: str = "scenario") -> Scenario:
     })
 
     grid = _build(Grid3, top["grid"], "grid", _GRID)
+    if RUN_BYTES_PER_POINT * grid.n**3 > GRID_BUDGET_BYTES:
+        raise ConfigError(
+            "grid.n",
+            f"a run on {grid.n}^3 points needs about {RUN_BYTES_PER_POINT * grid.n**3 / 2**30:.3g}"
+            f" GiB, above the {GRID_BUDGET_BYTES / 2**30:g} GiB budget",
+        )
     coeffs = _build_coefficients(top["coefficients"], grid)
     domain = _build_domain(top["domain"], grid)
     model = _build_model(top["model"])

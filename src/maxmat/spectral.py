@@ -100,6 +100,10 @@ def apply_B(state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np
     return out
 
 
+# The two EM slots of a (6, ...) stack.
+_SLOT1, _SLOT2 = slice(0, 3), slice(3, 6)
+
+
 class FreePropagator:
     """Exact evolution exp(-t B) for spatially constant coefficients.
 
@@ -110,7 +114,9 @@ class FreePropagator:
         u1(t) = u1_par + cos(wt) u1_perp - i sin(wt) sqrt(k2/k1) khat ^ u2
         u2(t) = u2_par + cos(wt) u2_perp + i sin(wt) sqrt(k1/k2) khat ^ u1
 
-    The zero mode is preserved. The map is unitary in the weighted norm.
+    The zero mode has w = 0 and is preserved exactly. The map is unitary
+    in the weighted norm. The object holds only constants, so copies of a
+    system with another eta may share it across threads.
     """
 
     def __init__(self, coeffs: Coefficients, ws: FourierWorkspace):
@@ -122,27 +128,65 @@ class FreePropagator:
         self.ratio12 = np.sqrt(k2 / k1)
         self.ratio21 = np.sqrt(k1 / k2)
 
-    def apply_hat(self, state_hat: np.ndarray, t: float) -> np.ndarray:
-        """Propagate a (6, ...) spectral stack by exp(-t B)."""
-        ws = self.ws
-        u1, u2 = state_hat[0:3], state_hat[3:6]
-        par1 = ws.longitudinal(u1)
-        par2 = ws.longitudinal(u2)
-        c = np.cos(self.omega * t)
-        s = np.sin(self.omega * t)
+    def phases(self, t: float) -> tuple[np.ndarray, ...]:
+        """Per-mode factors of exp(-t B), for :meth:`apply_hat`.
+
+        Returns cos(wt), 1 - cos(wt) and the rotation factors
+        -i sin(wt) sqrt(k2/k1) and +i sin(wt) sqrt(k1/k2) of the two
+        slots. Compute them once per time and reuse them for every
+        application over that time.
+        """
+        wt = self.omega * t
+        c, s = np.cos(wt), np.sin(wt)
+        return c, 1.0 - c, (-1j * self.ratio12) * s, (1j * self.ratio21) * s
+
+    def apply_hat(
+        self, state_hat: np.ndarray, phases: tuple, support: slice | None = None
+    ) -> np.ndarray:
+        """Propagate a (6, ...) spectral stack by exp(-t B), given ``phases(t)``.
+
+        One pass per output component: slot a of the result is
+
+            c u_a + (1 - c) khat (khat . u_a) + rot_a khat ^ u_b
+
+        with b the other slot. ``support`` (``slice(0, 3)`` or
+        ``slice(3, 6)``) says that the input is zero outside that slot;
+        the other slot's terms are then skipped and it is never read.
+        """
+        if support not in (None, _SLOT1, _SLOT2):
+            raise ValueError(f"support must be one EM slot, got {support}")
+        c, one_minus_c, rot1, rot2 = phases
+        khat = self.ws.khat
         out = np.empty_like(state_hat)
-        out[0:3] = par1 + c * (u1 - par1) - 1j * s * self.ratio12 * cross(ws.khat, u2)
-        out[3:6] = par2 + c * (u2 - par2) + 1j * s * self.ratio21 * cross(ws.khat, u1)
-        # khat is zero at the zero mode, so (u - par) there would rotate the
-        # mean; re-pin it explicitly.
-        out[..., 0, 0, 0] = state_hat[..., 0, 0, 0]
+        for own, other, rot in ((_SLOT1, _SLOT2, rot1), (_SLOT2, _SLOT1, rot2)):
+            u, w, o = state_hat[own], state_hat[other], out[own]
+            own_live = support is None or support == own
+            other_live = support is None or support == other
+            if own_live:
+                par = khat[0] * u[0]
+                par += khat[1] * u[1]
+                par += khat[2] * u[2]
+                par *= one_minus_c
+            for j in range(3):
+                a, b = (j + 1) % 3, (j + 2) % 3
+                if own_live:
+                    np.multiply(c, u[j], out=o[j])
+                    o[j] += khat[j] * par
+                if other_live:
+                    x = khat[a] * w[b]
+                    x -= khat[b] * w[a]
+                    if own_live:
+                        x *= rot
+                        o[j] += x
+                    else:
+                        np.multiply(x, rot, out=o[j])
         return out
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
         """Propagate a physical (6, n, n, n) state by exp(-t B)."""
         if state.shape != (6,) + self.ws.grid.shape:
             raise ValueError(f"expected an EM state on {self.ws.grid.shape}, got {state.shape}")
-        return self.ws.inverse(self.apply_hat(self.ws.forward(state), t))
+        return self.ws.inverse(self.apply_hat(self.ws.forward(state), self.phases(t)))
 
 
 @dataclass(frozen=True)

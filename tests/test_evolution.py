@@ -37,9 +37,9 @@ def test_rhs_recomposition(ll_system, ll_state):
     # du must be exactly -B u plus the extended matter source; dv exactly F
     sys_ = ll_system
     du, dv = sys_.tendencies(ll_state.u, ll_state.v)
-    from maxmat import apply_B, extend_by_zero
+    from maxmat import apply_B, extend_by_zero, restrict_to_domain
 
-    f = sys_.model.eval_F(ll_state.v, sys_.field_sample(ll_state.u))
+    f = sys_.model.eval_F(ll_state.v, restrict_to_domain(ll_state.u, sys_.domain))
     np.testing.assert_allclose(dv, f, atol=1e-15)
     expect = -apply_B(ll_state.u, sys_.coeffs, sys_.ws)
     expect[0:3] += extend_by_zero(
@@ -86,6 +86,106 @@ def test_free_flow_lawson_step_is_exact(ll_system, rng):
         < 1e-13 * weighted_norm(u0, sys_.coeffs, sys_.grid)
     )
     assert np.all(out.v == 0.0)
+
+
+def test_make_initial_projects_only_the_coupled_slot(ll_system, monkeypatch):
+    # the matter shift is zero outside the coupled slot, so one projection suffices
+    import maxmat.evolution as evolution
+
+    sources = []
+    original = evolution.project_complement
+
+    def counting(v, kappa, ws):
+        sources.append(float(np.abs(v).max()))
+        return original(v, kappa, ws)
+
+    monkeypatch.setattr(evolution, "project_complement", counting)
+    state = make_initial(ll_system, tilted_magnetization(ll_system.domain))
+    assert len(sources) == 1 and sources[0] > 0.0
+    assert np.all(state.u[3:6] == 0.0)
+    assert ll_system.constraint_residual(state) < 1e-12
+
+
+def reference_lawson_step(system, state, h):
+    """The Lawson(RK4) step in physical form: each of its six propagator
+    applications transforms a whole 6-component state there and back."""
+    prop = system.propagator
+    half = 0.5 * h / system.eta
+
+    def nonlinear(u, v):
+        f = system.matter_tendency(u, v)
+        return system.matter_to_field(f), f
+
+    u, v = state.u, state.v
+    a = prop.apply(u, half)
+    c1u, c1v = nonlinear(u, v)
+    e_c1u = prop.apply(c1u, half)
+    c2u, c2v = nonlinear(a + 0.5 * h * e_c1u, v + 0.5 * h * c1v)
+    c3u, c3v = nonlinear(a + 0.5 * h * c2u, v + 0.5 * h * c2v)
+    e_a = prop.apply(a, half)
+    e_c3u = prop.apply(c3u, half)
+    c4u, c4v = nonlinear(e_a + h * e_c3u, v + h * c3v)
+    un = e_a + (h / 6.0) * (
+        prop.apply(e_c1u, half) + 2.0 * prop.apply(c2u, half) + 2.0 * e_c3u + c4u
+    )
+    vn = v + (h / 6.0) * (c1v + 2.0 * c2v + 2.0 * c3v + c4v)
+    return SimState(state.t + h, un, vn)
+
+
+def _bloch_system(grid, eta):
+    d = np.zeros((3, 3, 3), dtype=complex)
+    d[0, 0, 1] = d[0, 1, 0] = 1.0
+    d[1, 1, 2] = 0.5j
+    d[1, 2, 1] = -0.5j
+    d[2, 0, 2] = d[2, 2, 0] = 0.25
+    co = Coefficients.constant(grid, 0.8, 1.3)
+    w = 2 * grid.spacing
+    dom = box_mask(grid, (0.5, 0.5, 0.5), (w, w, w))
+    return SimSystem(grid, co, dom, BlochModel(levels=(0.0, 1.0, 2.5), dipole=d, relax=0.1), eta=eta)
+
+
+@pytest.mark.parametrize("kind", ["landau_lifschitz", "bloch"])
+def test_spectral_lawson_step_matches_physical_reference(kind, ll_system, grid16, rng):
+    # the spectral-stage step is the same map as the physical-form step; the
+    # Bloch system couples through slot 2 and runs at eta = 0.5
+    if kind == "bloch":
+        sys_ = _bloch_system(grid16, eta=0.5)
+        rho = np.zeros((3, 3, sys_.domain.count), dtype=complex)
+        rho[0, 0] = rho[2, 2] = rho[0, 2] = rho[2, 0] = 0.5
+        v0 = pack_rho(rho)
+    else:
+        sys_ = ll_system
+        v0 = tilted_magnetization(sys_.domain)
+    state0 = make_initial(sys_, v0, u_free=rng.standard_normal((6,) + grid16.shape))
+    cfg = IntegratorConfig(dt=5e-3, t_end=5e-3, scheme="lawson_exp")
+    # not vacuous: the matter step depends on the field it samples
+    unlit = SimState(0.0, np.zeros_like(state0.u), v0)
+    assert np.abs(step(sys_, unlit, cfg).v - step(sys_, state0, cfg).v).max() > 1e-6
+    state = ref = state0
+    for _ in range(3):
+        state = step(sys_, state, cfg)
+        ref = reference_lawson_step(sys_, ref, cfg.dt)
+    assert np.abs(state.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
+    assert np.abs(state.v - ref.v).max() <= 1e-12 * np.abs(ref.v).max()
+
+
+def test_lawson_step_makes_33_scalar_transforms(ll_system, ll_state, monkeypatch):
+    from maxmat.spectral import FourierWorkspace
+
+    transforms = []
+    for name in ("forward", "inverse"):
+        original = getattr(FourierWorkspace, name)
+
+        def counting(ws, arr, _original=original):
+            out = _original(ws, arr)
+            real = arr if arr.dtype.kind == "f" else out
+            transforms.append(real.size // ws.grid.n**3)
+            return out
+
+        monkeypatch.setattr(FourierWorkspace, name, counting)
+    step(ll_system, ll_state, IntegratorConfig(dt=1e-3, t_end=1e-3, scheme="lawson_exp"))
+    assert len(transforms) == 9
+    assert sum(transforms) == 33
 
 
 def test_propagator_built_once_per_system(ll_system, ll_state, monkeypatch):

@@ -1,5 +1,6 @@
 """Scenario parsing, the CLI surface, and its exit-code contract."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,28 @@ class TestParsing:
             parse_scenario(base_mapping(model=bloch, initial={"matter": "ground", "pair": [0, 1]}))
         scn = parse_scenario(base_mapping(model=bloch, initial={"matter": "coherent", "pair": [1, 0]}))
         assert scn.initial.pair == (1, 0)
+
+    @pytest.mark.parametrize("n", [4096, 2**40])
+    def test_grid_over_memory_budget_rejected(self, n):
+        # Rejected before any array is built: the parse allocates almost nothing.
+        m = base_mapping()
+        m["grid"]["n"] = n
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc:
+                parse_scenario(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.key == "grid.n"
+        assert "budget" in str(exc.value)
+        assert peak < 2**20
+
+    def test_grid_over_memory_budget_exit_two(self, tmp_path, capsys):
+        m = base_mapping()
+        m["grid"]["n"] = 4096
+        assert main(["run", str(write_yaml(tmp_path, m))]) == 2
+        assert "grid.n" in capsys.readouterr().err
 
     def test_grid_constructor_error_names_grid(self):
         m = base_mapping()

@@ -234,6 +234,24 @@ class TestFreePropagator:
         mean1 = prop.apply(u, 1.234).mean(axis=(1, 2, 3))
         np.testing.assert_allclose(mean1, mean0, atol=1e-13)
 
+    @pytest.mark.parametrize("support, other", [(slice(0, 3), slice(3, 6)),
+                                                (slice(3, 6), slice(0, 3))])
+    def test_zero_slot_skip_matches_general_path(self, grid16, ws16, rng, support, other):
+        co = Coefficients.constant(grid16, 1.3, 0.7)
+        prop = FreePropagator(co, ws16)
+        u = random_state(rng, grid16)
+        u[other] = 0.0
+        uhat = ws16.forward(u)
+        phases = prop.phases(0.37)
+        general = prop.apply_hat(uhat, phases)
+        assert np.abs(general[other]).max() > 0.1 * np.abs(general[support]).max()
+        np.testing.assert_array_equal(prop.apply_hat(uhat, phases, support=support), general)
+        # the zero slot is never read: junk there changes nothing
+        uhat[other] = np.nan
+        np.testing.assert_array_equal(prop.apply_hat(uhat, phases, support=support), general)
+        with pytest.raises(ValueError, match="support"):
+            prop.apply_hat(uhat, phases, support=slice(1, 4))
+
     def test_requires_constant_coefficients(self, grid16, ws16):
         with pytest.raises(ValueError):
             FreePropagator(smooth_coefficients(grid16), ws16)
