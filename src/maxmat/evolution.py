@@ -463,7 +463,7 @@ def mollified_fixed_point(
     """
     prop = system.propagator  # raises ValueError on variable coefficients
     k1, k2 = prop.kappa1, prop.kappa2
-    ws = system.ws
+    ws, slot = system.ws, system.slot
     spec = MollifierSpec(cfg.n_mol)
     symbol = spec.symbol(ws)
     eta = system.eta
@@ -475,11 +475,19 @@ def mollified_fixed_point(
     u0_hat = ws.forward(state0.u)
     v0 = state0.v.copy()
 
+    # The node phases are the same in every sweep; exp(+t B) takes the
+    # same cos factors and negated rotation factors (sin is odd).
+    phases = [prop.phases(t / eta) for t in times]
+
+    def back_phases(j: int) -> tuple:
+        c, one_minus_c, rot1, rot2 = phases[j]
+        return c, one_minus_c, -rot1, -rot2
+
     # Starting guess: the free flow with frozen matter. When the matter
     # tendency vanishes identically this is already the fixed point.
     traj_hat = np.empty((J + 1,) + u0_hat.shape, dtype=complex)
     for j in range(J + 1):
-        traj_hat[j] = prop.apply_hat(u0_hat, prop.phases(times[j] / eta))
+        traj_hat[j] = prop.apply_hat(u0_hat, phases[j])
     traj_v = np.tile(v0, (J + 1, 1, 1))
 
     scale = spectral_weighted_norm(u0_hat, k1, k2, ws) + matter_l2_norm(
@@ -488,10 +496,13 @@ def mollified_fixed_point(
     scale = max(scale, 1e-30)
     floor = 5e-14 * scale
 
+    # The matter law reads only the coupled slot of R u, and the source
+    # lives only there: each node transforms two 3-vectors.
     def source_hat(v_j: np.ndarray, u_hat_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u_moll = ws.inverse(symbol * u_hat_j)
-        f = system.matter_tendency(u_moll, v_j)
-        return ws.forward(system.matter_to_field(f)), f
+        f = system.coupled_tendency(ws.inverse(symbol * u_hat_j[slot]), v_j)
+        g_hat = np.zeros_like(u0_hat)
+        g_hat[slot] = ws.forward(system.source_field(f))
+        return g_hat, f
 
     distances: list[float] = []
     for it in range(1, cfg.max_iter + 1):
@@ -507,10 +518,10 @@ def mollified_fixed_point(
         dist_v = 0.0
         for j in range(1, J + 1):
             g_hat, f_j = source_hat(traj_v[j], traj_hat[j])
-            phased = prop.apply_hat(g_hat, prop.phases(-times[j] / eta))
+            phased = prop.apply_hat(g_hat, back_phases(j), support=slot)
             s_accum += (0.5 * dt) * (phased_prev + phased)
             phased_prev = phased
-            new_hat[j] = prop.apply_hat(u0_hat + s_accum, prop.phases(times[j] / eta))
+            new_hat[j] = prop.apply_hat(u0_hat + s_accum, phases[j])
             new_v[j] = new_v[j - 1] + (0.5 * dt) * (f_prev + f_j)
             f_prev = f_j
             dist_u = max(

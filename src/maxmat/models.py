@@ -134,6 +134,32 @@ def unpack_rho(v: np.ndarray, n: int) -> np.ndarray:
     return rho
 
 
+# Largest set of Bloch generators (four real (N^2, N^2) float64 matrices,
+# 32 N^4 bytes) a model may build. Measured on one 2-core x86 KVM guest
+# with one BLAS thread: at N = 30 levels the generators take 26 MB and
+# build in 1.1 s (78 MB peak); at N = 38, the most this budget admits,
+# 67 MB in 3.4 s (200 MB peak), and one eval_F on 1088 voxels takes
+# 0.4 s. The build is O(N^6) and eval_F costs 4 N^4 multiply-adds per
+# voxel, so larger level counts are rejected before anything is built.
+LIOUVILLIAN_BUDGET_BYTES = 64 * 2**20
+
+
+def check_level_count(n: int) -> None:
+    """ValueError unless a Bloch model on ``n`` levels can be built."""
+    if n < 2:
+        raise ValueError(f"need at least two levels, got {n}")
+    if 32 * n**4 > LIOUVILLIAN_BUDGET_BYTES:
+        raise ValueError(
+            f"{n} levels need {32 * n**4 / 2**20:.3g} MiB of generators,"
+            f" above the {LIOUVILLIAN_BUDGET_BYTES / 2**20:g} MiB budget"
+        )
+
+
+def _commutator(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """[a, rho] for one (N, N) matrix against an (N, N, m) stack."""
+    return np.einsum("ik,kjm->ijm", a, rho) - np.einsum("ikm,kj->ijm", rho, a)
+
+
 @dataclass
 class BlochModel(MatterModel):
     """N-level density-matrix dynamics driven by the electric slot.
@@ -141,10 +167,21 @@ class BlochModel(MatterModel):
     rho' = -i [H0 - E . D, rho] - relax * offdiag(rho), with H0 the
     diagonal level Hamiltonian and D a 3-vector of Hermitian dipole
     matrices. States travel in the real packed coordinates of
-    :func:`pack_rho`. The commutator preserves the Frobenius norm and the
-    relaxation only ever shrinks it, so the growth constant is zero. The
-    field source is -(1/eps) tr(D rho'), the polarization current with
-    the sign that keeps the charge constraint transported.
+    :func:`pack_rho`, where the law is real-linear in the state with
+    coefficients affine in the field (the coherence-vector form):
+
+        F(v, E) = L0 v + E_1 L_1 v + E_2 L_2 v + E_3 L_3 v
+
+    L0 packs -i [H0, .] - relax * offdiag(.) and L_a packs i [D_a, .].
+    The four constant real (N^2, N^2) generators are built once, column
+    j being the law applied to the j-th packed basis vector, so eval_F
+    is one stacked matrix product. Each L_a is skew-symmetric (pack_rho
+    is an isometry and a commutator with a Hermitian matrix is
+    skew-adjoint), and L0 is skew-symmetric up to -relax on the packed
+    off-diagonal coordinates, so the growth constant is zero. The field
+    source is -(1/eps) tr(D rho'), the polarization current with the
+    sign that keeps the charge constraint transported; tr(D rho) is one
+    constant (3, N^2) matrix in packed coordinates.
     """
 
     levels: tuple[float, ...]
@@ -156,10 +193,9 @@ class BlochModel(MatterModel):
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=float)
-        d = np.asarray(self.dipole, dtype=complex)
         n = lv.size
-        if n < 2:
-            raise ValueError(f"need at least two levels, got {n}")
+        check_level_count(n)
+        d = np.asarray(self.dipole, dtype=complex)
         if d.shape != (3, n, n):
             raise ValueError(f"dipole must have shape (3, {n}, {n}), got {d.shape}")
         herm_err = max(float(np.abs(d[a] - d[a].conj().T).max()) for a in range(3))
@@ -169,24 +205,24 @@ class BlochModel(MatterModel):
             raise ValueError(f"relaxation rate must be nonnegative, got {self.relax}")
         self.n_levels = n
         self.dim = n * n
-        self._h0 = np.diag(lv).astype(complex)
         self._dipole = d
-        self._offdiag = ~np.eye(n, dtype=bool)
+        basis = unpack_rho(np.eye(n * n), n)  # column j: packed basis matrix j
+        relaxation = self.relax * basis * ~np.eye(n, dtype=bool)[:, :, None]
+        #: L0, L_1, L_2, L_3 as one (4, N^2, N^2) array
+        self.generators = np.empty((4, n * n, n * n))
+        self.generators[0] = pack_rho(-1j * _commutator(np.diag(lv), basis) - relaxation)
+        for a in range(3):
+            self.generators[a + 1] = pack_rho(1j * _commutator(d[a], basis))
+        self._polarization = np.einsum("aij,jim->am", d, basis).real
 
     def eval_F(self, v: np.ndarray, em: np.ndarray) -> np.ndarray:
-        rho = unpack_rho(v, self.n_levels)
-        e = em[3:6]
-        ham = self._h0[:, :, None] - np.einsum("aij,am->ijm", self._dipole, e)
-        comm = np.einsum("ikm,kjm->ijm", ham, rho) - np.einsum("ikm,kjm->ijm", rho, ham)
-        drho = -1j * comm
-        if self.relax > 0:
-            drho = drho - self.relax * (rho * self._offdiag[:, :, None])
-        return pack_rho(drho)
+        terms = (self.generators.reshape(-1, self.dim) @ v).reshape(4, self.dim, -1)
+        terms[1:] *= em[3:6, None, :]
+        return terms.sum(axis=0)
 
     def polarization(self, v: np.ndarray) -> np.ndarray:
         """tr(D rho) per voxel, shape (3, m); real for Hermitian input."""
-        rho = unpack_rho(v, self.n_levels)
-        return np.einsum("aij,jim->am", self._dipole, rho).real
+        return self._polarization @ v
 
     def source_from_matter(self, w: np.ndarray, kappa_d: np.ndarray) -> np.ndarray:
         return -self.polarization(w) / kappa_d

@@ -20,7 +20,7 @@ import yaml
 from .evolution import FixedPointConfig, IntegratorConfig, SimState, SimSystem
 from .evolution import _check_cfl, make_initial
 from .grid import Coefficients, DomainMask, Grid3, ball_indicator, ball_mask, box_mask
-from .models import BlochModel, LandauLifschitzModel, MatterModel, pack_rho
+from .models import BlochModel, LandauLifschitzModel, MatterModel, check_level_count, pack_rho
 from .quasistatic import EtaStudyConfig
 
 
@@ -159,6 +159,14 @@ _direction = _checked(_vec3, lambda d: 0.0 < np.linalg.norm(d) < np.inf, "a nonz
 _pair = _checked(_list_of(_as_int, 2), lambda p: min(p) >= 0 and p[0] != p[1], "distinct and >= 0")
 
 
+def _levels(val, path):
+    """Level energies; the count is checked before anything is converted or built."""
+    if isinstance(val, (list, tuple)):
+        with _under(path):
+            check_level_count(len(val))
+    return _floats(val, path)
+
+
 def _coupling(val, path):
     return (_floats if isinstance(val, (list, tuple)) else _as_float)(val, path)
 
@@ -239,7 +247,7 @@ _MODEL_KINDS = {
         "aniso": (_as_float, OMIT), "axis": (_vec3, OMIT), "h_ext": (_vec3, OMIT),
     },
     "bloch": {
-        "levels": (_checked(_floats, lambda lv: len(lv) >= 2, "two or more levels"), REQUIRED),
+        "levels": (_levels, REQUIRED),
         "coupling": (_coupling, 1.0), "polarization": (_vec3, (1.0, 0.0, 0.0)),
         "relax": (_as_float, OMIT),
     },

@@ -134,3 +134,34 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FixedPointConfig(n_mol=4, window=0.1, n_steps=1)
     assert issubclass(ContractionError, FixedPointError)
+
+
+def test_node_phases_computed_once_and_only_the_coupled_slot_transformed(monkeypatch):
+    # ll_mollified converges in 10 sweeps over 41 nodes. Each node's phases
+    # are computed once for all sweeps; each node of a sweep transforms the
+    # coupled 3-vector of the source forward, plus 6 for the initial field.
+    from pathlib import Path
+
+    from maxmat import load_scenario
+    from maxmat.spectral import FourierWorkspace, FreePropagator
+
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "ll_mollified.yaml")
+    system = scn.build_system()
+    state = scn.initial_state(system)
+    phases, forward = [], []
+    original_phases, original_forward = FreePropagator.phases, FourierWorkspace.forward
+
+    def counting_phases(prop, t):
+        phases.append(t)
+        return original_phases(prop, t)
+
+    def counting_forward(ws, arr):
+        forward.append(arr.size // ws.grid.n**3)
+        return original_forward(ws, arr)
+
+    monkeypatch.setattr(FreePropagator, "phases", counting_phases)
+    monkeypatch.setattr(FourierWorkspace, "forward", counting_forward)
+    res = mollified_fixed_point(system, state, scn.fixed_point)
+    assert res.iterations == 10
+    assert len(phases) == scn.fixed_point.n_steps + 1 == 41
+    assert sum(forward) == 6 + 10 * 41 * 3 == 1236

@@ -17,6 +17,8 @@ from maxmat import (
     pack_rho,
     unpack_rho,
 )
+from maxmat.models import LIOUVILLIAN_BUDGET_BYTES, check_level_count
+from maxmat.scenario import _ladder_dipole
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -253,3 +255,115 @@ class TestBloch:
         assert worst["growth_excess"] < 1e-11
         assert worst["source_linear"] < 1e-12
         assert worst["uncoupled_slot"] == 0.0
+
+
+# ------------------------------------------- Bloch law as generators
+
+
+def random_dipole(rng, n):
+    return np.moveaxis(random_hermitian(rng, n, 3), 2, 0)
+
+
+def generator_defects(gens, relax):
+    """Structural defects of the (4, N^2, N^2) Bloch generators, relative
+    to their largest entry: skewness of the field generators L_a, skewness
+    of L0 with its relaxation added back on the packed off-diagonal
+    coordinates, and the largest trace row sum (first N rows) of any
+    generator."""
+    dim = gens.shape[1]
+    n = int(round(np.sqrt(dim)))
+    relaxation = relax * np.diag(np.r_[np.zeros(n), np.ones(dim - n)])
+    scale = np.abs(gens).max()
+    level = gens[0] + relaxation
+    return {
+        "field_skew": max(np.abs(g + g.T).max() for g in gens[1:]) / scale,
+        "level_skew": np.abs(level + level.T).max() / scale,
+        "trace": np.abs(gens[:, :n].sum(axis=1)).max() / scale,
+    }
+
+
+def reference_bloch_law(levels, dipole, relax, rho, e):
+    """-i [H0 - E.D, rho] - relax offdiag(rho), voxel by voxel, and tr(D rho)."""
+    n, _, m = rho.shape
+    drho = np.empty_like(rho)
+    pol = np.empty((3, m))
+    for j in range(m):
+        ham = np.diag(levels) - sum(e[a, j] * dipole[a] for a in range(3))
+        r = rho[:, :, j]
+        drho[:, :, j] = -1j * (ham @ r - r @ ham) - relax * (r - np.diag(np.diag(r)))
+        pol[:, j] = [np.trace(dipole[a] @ r).real for a in range(3)]
+    return drho, pol
+
+
+def _bloch_cases():
+    """(levels, dipole, relax) by name: random dipoles and the scenario ladder."""
+    rng = np.random.default_rng(7)
+    cases = {
+        f"random{n}": (np.sort(rng.uniform(0.0, 5.0, n)), random_dipole(rng, n), 0.3 * n)
+        for n in (2, 3, 6)
+    }
+    levels = (0.0, 1.0, 2.1, 3.3, 4.6, 6.0)
+    ladder = _ladder_dipole(levels, (1.0, 0.8, 0.6, 0.5, 0.4), (0.6, 0.8, 0.0))
+    cases["ladder6"] = (np.asarray(levels), ladder, 0.2)
+    return cases
+
+
+BLOCH_CASES = _bloch_cases()
+
+
+class TestBlochGenerators:
+    @pytest.mark.parametrize("case", sorted(BLOCH_CASES))
+    def test_eval_F_and_polarization_match_per_voxel_reference(self, rng, case):
+        levels, dipole, relax = BLOCH_CASES[case]
+        model = BlochModel(levels=tuple(levels), dipole=dipole, relax=relax)
+        n, m = levels.size, 9
+        rho = random_hermitian(rng, n, m)
+        em = rng.standard_normal((6, m))
+        drho, pol = reference_bloch_law(levels, dipole, relax, rho, em[3:6])
+        want = pack_rho(drho)
+        got = model.eval_F(pack_rho(rho), em)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        got_pol = model.polarization(pack_rho(rho))
+        assert np.abs(got_pol - pol).max() <= 1e-13 * np.abs(pol).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_generators_skew_and_trace_free(self, rng, n):
+        # The structural reason for growth_bound = 0 and trace transport.
+        relax = 0.7
+        model = BlochModel(levels=tuple(rng.uniform(0, 3, n)), dipole=random_dipole(rng, n),
+                           relax=relax)
+        gens = model.generators
+        assert gens.shape == (4, n * n, n * n)
+        assert all(np.abs(g).max() > 0.1 for g in gens)
+        for name, defect in generator_defects(gens, relax).items():
+            assert defect < 1e-14, name
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_generator_checks_fail_on_perturbed_generators(self, rng, n):
+        relax = 0.7
+        model = BlochModel(levels=tuple(rng.uniform(0, 3, n)), dipole=random_dipole(rng, n),
+                           relax=relax)
+        dim, k = n * n, n  # packed coordinate k is off-diagonal
+        symmetric = np.zeros((dim, dim))
+        symmetric[k, dim - 1] = symmetric[dim - 1, k] = 1e-6
+        trace_only = np.zeros((dim, dim))
+        trace_only[0, k], trace_only[k, 0] = 1e-6, -1e-6  # skew, but row 0 is a trace row
+        for which, bump, broken in [
+            (2, symmetric, "field_skew"),
+            (0, symmetric, "level_skew"),
+            (0, -relax * np.diag(np.r_[np.zeros(n), np.ones(dim - n)]), "level_skew"),
+            (1, trace_only, "trace"),
+        ]:
+            gens = model.generators.copy()
+            gens[which] += bump
+            defects = generator_defects(gens, relax)
+            assert defects[broken] > 1e-8, (which, broken)
+            assert all(d < 1e-14 for key, d in defects.items() if key != broken)
+
+    def test_level_count_budget(self):
+        most = int((LIOUVILLIAN_BUDGET_BYTES / 32) ** 0.25)
+        check_level_count(most)
+        with pytest.raises(ValueError, match="budget"):
+            check_level_count(most + 1)
+        with pytest.raises(ValueError, match="budget"):
+            BlochModel(levels=tuple(range(most + 1)), dipole=np.zeros((3, 1, 1)))

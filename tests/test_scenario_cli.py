@@ -235,6 +235,28 @@ class TestParsing:
         assert main(["run", str(write_yaml(tmp_path, m))]) == 2
         assert "grid.n" in capsys.readouterr().err
 
+    def test_bloch_levels_over_generator_budget_rejected(self):
+        # 1000 levels would need 3.2e13 bytes of generators; the parse
+        # rejects the count before converting or building anything.
+        m = base_mapping(model={"kind": "bloch", "levels": [float(k) for k in range(1000)]},
+                         initial={"matter": "ground"})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc:
+                parse_scenario(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.key == "model.levels"
+        assert "budget" in str(exc.value)
+        assert peak < 2**20
+
+    def test_bloch_levels_over_generator_budget_exit_two(self, tmp_path, capsys):
+        m = base_mapping(model={"kind": "bloch", "levels": [float(k) for k in range(200)]},
+                         initial={"matter": "ground"})
+        assert main(["run", str(write_yaml(tmp_path, m))]) == 2
+        assert "model.levels" in capsys.readouterr().err
+
     def test_grid_constructor_error_names_grid(self):
         m = base_mapping()
         m["grid"]["box_len"] = -1
