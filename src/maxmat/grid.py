@@ -88,11 +88,13 @@ def require_same_grid(*arrays: np.ndarray) -> None:
 @dataclass(frozen=True)
 class Coefficients:
     """Positive scalar fields (kappa1, kappa2) defining the weighted
-    geometry, with their common lower bound ``floor``."""
+    geometry, with their common lower bound ``floor`` and whether both are
+    spatially constant (``is_constant``)."""
 
     kappa1: np.ndarray
     kappa2: np.ndarray
     floor: float = field(init=False)
+    is_constant: bool = field(init=False)
 
     def __post_init__(self):
         require_same_grid(self.kappa1, self.kappa2)
@@ -102,6 +104,8 @@ class Coefficients:
         if lo <= 0:
             raise ValueError(f"coefficients must be uniformly positive, min={lo}")
         object.__setattr__(self, "floor", lo)
+        constant = float(np.ptp(self.kappa1)) == 0.0 and float(np.ptp(self.kappa2)) == 0.0
+        object.__setattr__(self, "is_constant", constant)
 
     @classmethod
     def constant(cls, grid: Grid3, kappa1: float, kappa2: float) -> "Coefficients":
@@ -114,10 +118,6 @@ class Coefficients:
         if slot == 2:
             return self.kappa2
         raise ValueError(f"slot must be 1 or 2, got {slot}")
-
-    @property
-    def is_constant(self) -> bool:
-        return float(np.ptp(self.kappa1)) == 0.0 and float(np.ptp(self.kappa2)) == 0.0
 
     def constant_values(self) -> tuple[float, float]:
         if not self.is_constant:

@@ -8,6 +8,17 @@ preconditioned conjugate gradients with the constant-coefficient inverse
 Laplacian as preconditioner, to the relative residual ``PCG_RTOL``
 within ``PCG_MAX_ITER`` iterations.
 
+The CG iterates are half-spectra (rfft layout). The preconditioner is
+then the multiplier 1/|xi|^2, inner products and norms are Parseval
+sums, and an iteration makes 6 scalar transforms: the gradient of the
+search direction back to physical space, where the weight multiplies
+it, and forward again for the divergence. A solve of k iterations makes
+6k + 6 in 2k + 2 calls. The kz = 0 and kz = Nyquist planes of the source
+and of every operator output are made exactly Hermitian, as they are for
+a real field; otherwise the preconditioner and the Parseval sums would
+carry the roundoff residue that the inverse transform drops, and a
+source at roundoff would make PCG diverge.
+
 Constant fields carry no gradient content on the torus, so the zero mode
 always lands in the divergence-free part.
 """
@@ -17,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Coefficients, require_same_grid, weighted_norm
-from .spectral import FourierWorkspace, safe_div
+from .spectral import FourierWorkspace
 
 # PCG stops once the residual is below PCG_RTOL times the source norm.
 PCG_RTOL = 1e-12
@@ -28,18 +39,32 @@ class ProjectionSolveError(RuntimeError):
     """The elliptic solve behind the projector did not reach tolerance."""
 
 
-def _grad(phi_hat: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
-    return ws.inverse(np.stack([1j * x * phi_hat for x in ws.xi]))
+def _grad_hat(phi_hat: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
+    """i xi phi_hat: the half-spectrum of grad phi."""
+    i_phi = 1j * phi_hat
+    out = np.empty((3,) + phi_hat.shape, dtype=complex)
+    for x, o in zip(ws.xi, out):
+        np.multiply(x, i_phi, out=o)
+    return out
 
 
-def _div(v: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
-    vhat = ws.forward(v)
-    return ws.inverse(1j * (ws.xi[0] * vhat[0] + ws.xi[1] * vhat[1] + ws.xi[2] * vhat[2]))
+def _neg_div_hat(vhat: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
+    """-i xi . vhat: the half-spectrum of -div v, Hermitian in the kz = 0 and
+    kz = Nyquist planes."""
+    out = ws.xi[0] * vhat[0]
+    out += ws.xi[1] * vhat[1]
+    out += ws.xi[2] * vhat[2]
+    out *= -1j
+    return ws.hermitian_planes(out)
 
 
-def _inv_neg_laplacian_hat(rho: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
-    """Solve -lap phi = rho spectrally; returns phi_hat, zero mode pinned."""
-    return safe_div(ws.forward(rho), ws.xi_sq)
+def _dot_hat(a_hat: np.ndarray, b_hat: np.ndarray, ws: FourierWorkspace) -> float:
+    """n^3 times the grid sum of a * b, from half-spectra (Parseval)."""
+    w = ws.mode_weights
+    return float(
+        np.einsum("ijk,ijk,ijk->", w, a_hat.real, b_hat.real)
+        + np.einsum("ijk,ijk,ijk->", w, a_hat.imag, b_hat.imag)
+    )
 
 
 def project_complement(
@@ -60,42 +85,38 @@ def project_complement(
         # Constant weight: grad phi = xi (xi . vhat) / |xi|^2 mode by mode.
         return ws.inverse(ws.longitudinal(ws.forward(v)))
 
-    b = -_div(kappa * v, ws)
-    b -= b.mean()
-    bnorm = float(np.linalg.norm(b))
+    # PCG on half-spectra. xi vanishes at the zero mode, so every iterate
+    # has zero mean and the gauge needs no step of its own.
+    b = _neg_div_hat(ws.forward(kappa * v), ws)
+    bnorm = np.sqrt(_dot_hat(b, b, ws))
     if bnorm == 0.0:
         return np.zeros_like(v)
 
-    def apply_A(phi: np.ndarray) -> np.ndarray:
-        phi_hat = ws.forward(phi)
-        return -_div(kappa * _grad(phi_hat, ws), ws)
+    def apply_A(p: np.ndarray) -> np.ndarray:
+        return _neg_div_hat(ws.forward(kappa * ws.inverse(_grad_hat(p, ws))), ws)
 
-    def apply_M(r: np.ndarray) -> np.ndarray:
-        return ws.inverse(_inv_neg_laplacian_hat(r, ws))
-
-    phi = np.zeros(ws.grid.shape)
+    phi = np.zeros_like(b)
     r = b.copy()
-    z = apply_M(r)
+    z = ws.inv_xi_sq * r
     p = z.copy()
-    rz = float(np.sum(r * z))
+    rz = _dot_hat(r, z, ws)
     for _ in range(PCG_MAX_ITER):
         Ap = apply_A(p)
-        pAp = float(np.sum(p * Ap))
+        pAp = _dot_hat(p, Ap, ws)
         if pAp <= 0:
             raise ProjectionSolveError("PCG lost positive definiteness; check the weight field")
         alpha = rz / pAp
         phi += alpha * p
         r -= alpha * Ap
-        if float(np.linalg.norm(r)) <= PCG_RTOL * bnorm:
-            phi -= phi.mean()
-            return _grad(ws.forward(phi), ws)
-        z = apply_M(r)
-        rz_new = float(np.sum(r * z))
+        if np.sqrt(_dot_hat(r, r, ws)) <= PCG_RTOL * bnorm:
+            return ws.inverse(_grad_hat(phi, ws))
+        z = ws.inv_xi_sq * r
+        rz_new = _dot_hat(r, z, ws)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise ProjectionSolveError(
         f"PCG did not reach rtol={PCG_RTOL} within {PCG_MAX_ITER} iterations "
-        f"(residual {float(np.linalg.norm(r)) / bnorm:.3e} of source norm)"
+        f"(residual {np.sqrt(_dot_hat(r, r, ws)) / bnorm:.3e} of source norm)"
     )
 
 

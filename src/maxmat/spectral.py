@@ -9,6 +9,7 @@ package; all multipliers are cached per workspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,12 +69,37 @@ class FourierWorkspace:
             w[..., -1] = 1.0
         self.mode_weights = w
 
+    @cached_property
+    def inv_xi_sq(self) -> np.ndarray:
+        """1 / |xi|^2, the inverse of -Laplacian with the zero mode pinned.
+
+        Only the variable-weight projector uses it, so it is built on first
+        use and constant-coefficient runs never hold it.
+        """
+        return safe_div(1.0, self.xi_sq)
+
     def forward(self, fields: np.ndarray) -> np.ndarray:
         """rfftn over the trailing three axes; leading axes are batched."""
         return np.fft.rfftn(fields, axes=(-3, -2, -1))
 
     def inverse(self, spectra: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(spectra, s=self.grid.shape, axes=(-3, -2, -1))
+
+    def hermitian_planes(self, spectra: np.ndarray) -> np.ndarray:
+        """Symmetrise the kz = 0 and kz = Nyquist planes in place; returns ``spectra``.
+
+        In those planes the mode at -k is stored too, and a real field has
+        a(-k) = conj(a(k)). An rfftn output meets this only to roundoff;
+        ``inverse`` silently drops the anti-Hermitian residue, but
+        multipliers and Parseval sums keep it. Averaging each mode with the
+        conjugate of its partner removes it in O(n^2) work.
+        """
+        for k in (0, -1):
+            plane = spectra[..., k]
+            partner = np.roll(np.flip(plane, axis=(-2, -1)), 1, axis=(-2, -1))
+            plane += partner.conj()
+            plane *= 0.5
+        return spectra
 
     def longitudinal(self, vhat: np.ndarray) -> np.ndarray:
         """khat (khat . vhat) on a (3, ...) spectral stack; the zero mode maps to zero."""

@@ -44,6 +44,23 @@ def random_state(rng, grid, components=6):
     return rng.standard_normal((components,) + grid.shape)
 
 
+def count_transforms(monkeypatch):
+    """Patch FourierWorkspace.forward/inverse to record the number of scalar
+    transforms of each call; returns the (live) list of counts."""
+    transforms = []
+    for name in ("forward", "inverse"):
+        original = getattr(FourierWorkspace, name)
+
+        def counting(ws, arr, _original=original):
+            out = _original(ws, arr)
+            real = arr if arr.dtype.kind == "f" else out
+            transforms.append(real.size // ws.grid.n**3)
+            return out
+
+        monkeypatch.setattr(FourierWorkspace, name, counting)
+    return transforms
+
+
 def smooth_coefficients(grid, amp1=0.6, amp2=0.4):
     """Smooth positive kappa pair, constant near the box faces."""
     xx, yy, zz = grid.meshgrid()

@@ -5,6 +5,8 @@ precession against the analytic rotating solution, and two-level
 density-matrix dynamics against a dense matrix exponential.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +21,7 @@ from maxmat import (
     SimSystem,
     box_mask,
     integrate_matter,
+    load_scenario,
     make_initial,
     matter_l2_norm,
     pack_rho,
@@ -30,7 +33,7 @@ from maxmat import (
 )
 from maxmat.models import MatterModel
 
-from .conftest import smooth_coefficients, tilted_magnetization
+from .conftest import count_transforms, smooth_coefficients, tilted_magnetization
 
 
 def test_rhs_recomposition(ll_system, ll_state):
@@ -170,22 +173,24 @@ def test_spectral_lawson_step_matches_physical_reference(kind, ll_system, grid16
 
 
 def test_lawson_step_makes_33_scalar_transforms(ll_system, ll_state, monkeypatch):
-    from maxmat.spectral import FourierWorkspace
-
-    transforms = []
-    for name in ("forward", "inverse"):
-        original = getattr(FourierWorkspace, name)
-
-        def counting(ws, arr, _original=original):
-            out = _original(ws, arr)
-            real = arr if arr.dtype.kind == "f" else out
-            transforms.append(real.size // ws.grid.n**3)
-            return out
-
-        monkeypatch.setattr(FourierWorkspace, name, counting)
+    transforms = count_transforms(monkeypatch)
     step(ll_system, ll_state, IntegratorConfig(dt=1e-3, t_end=1e-3, scheme="lawson_exp"))
     assert len(transforms) == 9
     assert sum(transforms) == 33
+
+
+def test_variable_projection_transform_counts(monkeypatch):
+    # ll_smooth: make_initial is one 11-iteration solve (6k + 6 = 72 scalar
+    # transforms in 2k + 2 = 24 calls); the first constraint sample adds the
+    # forward transform of the still-zero second slot
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "ll_smooth.yaml")
+    sys_ = scn.build_system()
+    transforms = count_transforms(monkeypatch)
+    state = scn.initial_state(sys_)
+    assert (len(transforms), sum(transforms)) == (24, 72)
+    transforms.clear()
+    assert sys_.constraint_residual(state) < 1e-12
+    assert (len(transforms), sum(transforms)) == (25, 75)
 
 
 def test_propagator_built_once_per_system(ll_system, ll_state, monkeypatch):

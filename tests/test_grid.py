@@ -53,6 +53,16 @@ def test_coefficients_positivity_and_floor(grid8):
         Coefficients.constant(grid8, -1.0, 1.0)
 
 
+def test_coefficients_constancy_is_stored(grid8):
+    # one varying weight makes the pair variable; the flag is a stored
+    # field, not a scan of both arrays on every read
+    mixed = Coefficients(np.full(grid8.shape, 2.0), smooth_coefficients(grid8).kappa2)
+    assert vars(mixed)["is_constant"] is False
+    assert vars(Coefficients.constant(grid8, 1.0, 3.0))["is_constant"] is True
+    with pytest.raises(ValueError):
+        mixed.constant_values()
+
+
 def test_coefficients_component_slots(grid8):
     co = smooth_coefficients(grid8)
     assert not co.is_constant

@@ -18,6 +18,7 @@ from maxmat import (
     weighted_norm,
 )
 import maxmat.helmholtz as helmholtz
+from maxmat.spectral import safe_div
 from maxmat.helmholtz import (
     ProjectionSolveError,
     constraint_residual,
@@ -26,7 +27,7 @@ from maxmat.helmholtz import (
     project_complement_state,
 )
 
-from .conftest import random_state, smooth_coefficients
+from .conftest import count_transforms, random_state, smooth_coefficients
 
 
 def oracle_complement_dense(v, kappa, grid):
@@ -117,6 +118,58 @@ def test_complement_matches_dense_oracle(grid8, rng, monkeypatch):
     got = project_complement(v, kappa, ws)
     expect = oracle_complement_dense(v, kappa, grid)
     assert np.abs(got - expect).max() < 1e-8 * np.abs(expect).max()
+
+
+def reference_complement_physical(v, kappa, ws):
+    """PCG on physical iterates, ten scalar transforms per iteration: the
+    solver as it stood before it moved to half-spectra. Returns
+    (grad phi, iterations)."""
+
+    def grad(phi_hat):
+        return ws.inverse(np.stack([1j * x * phi_hat for x in ws.xi]))
+
+    def div(w):
+        wh = ws.forward(w)
+        return ws.inverse(1j * (ws.xi[0] * wh[0] + ws.xi[1] * wh[1] + ws.xi[2] * wh[2]))
+
+    def apply_M(r):
+        return ws.inverse(safe_div(ws.forward(r), ws.xi_sq))
+
+    b = -div(kappa * v)
+    b -= b.mean()
+    bnorm = float(np.linalg.norm(b))
+    phi = np.zeros(ws.grid.shape)
+    r = b.copy()
+    z = apply_M(r)
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    for k in range(1, helmholtz.PCG_MAX_ITER + 1):
+        Ap = -div(kappa * grad(ws.forward(p)))
+        alpha = rz / float(np.sum(p * Ap))
+        phi += alpha * p
+        r -= alpha * Ap
+        if float(np.linalg.norm(r)) <= helmholtz.PCG_RTOL * bnorm:
+            phi -= phi.mean()
+            return grad(ws.forward(phi)), k
+        z = apply_M(r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference PCG did not converge")
+
+
+def test_spectral_pcg_matches_physical_reference(grid16, ws16, rng, monkeypatch):
+    # same iterations and result as physical-iterate PCG on a full-band
+    # input with Nyquist content; 6k + 6 scalar transforms in 2k + 2 calls
+    co = smooth_coefficients(grid16)
+    v = rng.standard_normal((3,) + grid16.shape)
+    expect, k_ref = reference_complement_physical(v, co.kappa1, ws16)
+    transforms = count_transforms(monkeypatch)
+    got = project_complement(v, co.kappa1, ws16)
+    k = (len(transforms) - 2) // 2
+    assert k == k_ref > 3
+    assert len(transforms) == 2 * k + 2 and sum(transforms) == 6 * k + 6
+    assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
 
 
 def test_complement_recovers_pure_gradient(grid16, ws16, rng):

@@ -310,3 +310,18 @@ def test_spectral_norm_matches_physical(grid16, ws16, rng):
     a = spectral_weighted_norm(ws16.forward(u), k1, k2, ws16)
     b = weighted_norm(u, co, grid16)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_hermitian_planes_keep_what_inverse_keeps(grid16, ws16, rng):
+    # an arbitrary half-spectrum stack: the symmetrised one is the spectrum
+    # of the real field that inverse makes of it, and exactly Hermitian
+    shape = (3,) + ws16.spectral_shape
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = ws16.hermitian_planes(a.copy())
+    np.testing.assert_allclose(h, ws16.forward(ws16.inverse(a)), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(h[..., 1:-1], a[..., 1:-1])
+    neg = -np.arange(grid16.n) % grid16.n
+    for k in (0, -1):
+        plane = h[..., k]
+        np.testing.assert_array_equal(plane, plane[:, neg][:, :, neg].conj())
+    assert np.abs(h - a).max() > 0.1
