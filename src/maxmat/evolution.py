@@ -272,21 +272,16 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     needs the field only as the coupled 3-vector that the matter law
     samples: stage 1 reads it from the physical state, stages 2-4
     inverse-transform just that slot of their argument. Each stage's
-    source is a 3-vector forward transform into the coupled slot of an
-    otherwise zero stack, which the propagator applies without reading
-    the zero slot. With the state's forward transform and the result's
-    inverse that is 6 + 4*3 + 3*3 + 6 = 33 scalar transforms. The result
-    is returned physical, as every consumer of a state expects.
+    source is the 3-vector spectrum of the coupled slot, which the
+    propagator takes as it is. With the state's forward transform and
+    the result's inverse that is 6 + 4*3 + 3*3 + 6 = 33 scalar
+    transforms. The result is returned physical, as every consumer of a
+    state expects.
     """
     prop, ws, slot = system.propagator, system.ws, system.slot
     h = dt
     phases = prop.phases(0.5 * h / system.eta)
     v = state.v
-
-    def source_hat(f: np.ndarray) -> np.ndarray:
-        out = np.zeros((6,) + ws.spectral_shape, dtype=complex)
-        out[slot] = ws.forward(system.source_field(f))
-        return out
 
     def tendency(field_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
         return system.coupled_tendency(ws.inverse(field_hat), w)
@@ -295,18 +290,18 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     # peak memory by about a sixth.
     a = prop.apply_hat(ws.forward(state.u), phases)
     f1 = system.matter_tendency(state.u, v)
-    e_c1 = prop.apply_hat(source_hat(f1), phases, support=slot)
+    e_c1 = prop.apply_hat(ws.forward(system.source_field(f1)), phases, slot=slot)
     f2 = tendency(a[slot] + 0.5 * h * e_c1[slot], v + 0.5 * h * f1)
-    c2 = source_hat(f2)
-    f3 = tendency(a[slot] + 0.5 * h * c2[slot], v + 0.5 * h * f2)
+    c2 = ws.forward(system.source_field(f2))
+    f3 = tendency(a[slot] + 0.5 * h * c2, v + 0.5 * h * f2)
     e_a = prop.apply_hat(a, phases)
     del a
-    e_c3 = prop.apply_hat(source_hat(f3), phases, support=slot)
+    e_c3 = prop.apply_hat(ws.forward(system.source_field(f3)), phases, slot=slot)
     f4 = tendency(e_a[slot] + h * e_c3[slot], v + h * f3)
 
     acc = prop.apply_hat(e_c1, phases)
     del e_c1
-    acc += 2.0 * prop.apply_hat(c2, phases, support=slot)
+    acc += 2.0 * prop.apply_hat(c2, phases, slot=slot)
     del c2
     acc += 2.0 * e_c3
     del e_c3
@@ -497,12 +492,12 @@ def mollified_fixed_point(
     floor = 5e-14 * scale
 
     # The matter law reads only the coupled slot of R u, and the source
-    # lives only there: each node transforms two 3-vectors.
-    def source_hat(v_j: np.ndarray, u_hat_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # lives only there: each node transforms two 3-vectors. Returns
+    # exp(+t_j B) of node j's source, and its matter tendency.
+    def phased_source(j: int, u_hat_j: np.ndarray, v_j: np.ndarray) -> tuple:
         f = system.coupled_tendency(ws.inverse(symbol * u_hat_j[slot]), v_j)
-        g_hat = np.zeros_like(u0_hat)
-        g_hat[slot] = ws.forward(system.source_field(f))
-        return g_hat, f
+        g_hat = ws.forward(system.source_field(f))
+        return prop.apply_hat(g_hat, back_phases(j), slot=slot), f
 
     distances: list[float] = []
     for it in range(1, cfg.max_iter + 1):
@@ -511,14 +506,12 @@ def mollified_fixed_point(
         new_hat[0] = u0_hat
         new_v[0] = v0
 
-        g_hat, f_prev = source_hat(traj_v[0], traj_hat[0])
-        phased_prev = g_hat  # exp(+0 B) g
+        phased_prev, f_prev = phased_source(0, traj_hat[0], traj_v[0])
         s_accum = np.zeros_like(u0_hat)
         dist_u = 0.0
         dist_v = 0.0
         for j in range(1, J + 1):
-            g_hat, f_j = source_hat(traj_v[j], traj_hat[j])
-            phased = prop.apply_hat(g_hat, back_phases(j), support=slot)
+            phased, f_j = phased_source(j, traj_hat[j], traj_v[j])
             s_accum += (0.5 * dt) * (phased_prev + phased)
             phased_prev = phased
             new_hat[j] = prop.apply_hat(u0_hat + s_accum, phases[j])

@@ -117,7 +117,7 @@ class EtaStudyConfig:
         for eta in self.eta_list:
             if not 0 < eta <= 1:
                 raise ValueError(f"eta values must lie in (0, 1], got {eta}")
-        if list(self.eta_list) != sorted(self.eta_list, reverse=True):
+        if any(a <= b for a, b in zip(self.eta_list, self.eta_list[1:])):
             raise ValueError("eta_list must be strictly decreasing")
         if self.radius <= 0:
             raise ValueError(f"observation radius must be positive, got {self.radius}")

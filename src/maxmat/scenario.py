@@ -42,6 +42,11 @@ RUN_BYTES_PER_POINT = 1024
 # Largest estimated working set (RUN_BYTES_PER_POINT * n^3) a scenario
 # may ask for: 128^3 (2 GiB) passes, 256^3 (16 GiB) does not.
 GRID_BUDGET_BYTES = 4 * 2**30
+# Peak memory of the mollified construction per Fourier mode n^2 (n/2 + 1)
+# per quadrature node (two trajectories of 6-component spectra, one phase
+# tuple): tracemalloc on ll_mollified (16^3) peaks at 24.4 MB with 40 steps
+# and 46.7 MB with 80, 250-259 bytes each. 256 bytes is 32 float64 values.
+FIXED_POINT_BYTES_PER_MODE_NODE = 256
 
 
 # Schema defaults besides plain values: the key must be present, or an absent
@@ -77,6 +82,13 @@ def _variant(sec, path, key, variants, default=REQUIRED):
     if tag is REQUIRED:
         raise ConfigError(f"{path}{key}", "missing required key")
     return {key: (_as_str, default), **variants[_as_str(tag, f"{path}{key}", variants)]}
+
+
+def _within_budget(key: str, what: str, need: int) -> None:
+    """ConfigError naming ``key`` when ``what`` needs more than GRID_BUDGET_BYTES."""
+    if need > GRID_BUDGET_BYTES:
+        raise ConfigError(key, f"{what} needs about {need / 2**30:.3g} GiB,"
+                               f" above the {GRID_BUDGET_BYTES / 2**30:g} GiB budget")
 
 
 @contextmanager
@@ -431,12 +443,7 @@ def parse_scenario(mapping, name: str = "scenario") -> Scenario:
     })
 
     grid = _build(Grid3, top["grid"], "grid", _GRID)
-    if RUN_BYTES_PER_POINT * grid.n**3 > GRID_BUDGET_BYTES:
-        raise ConfigError(
-            "grid.n",
-            f"a run on {grid.n}^3 points needs about {RUN_BYTES_PER_POINT * grid.n**3 / 2**30:.3g}"
-            f" GiB, above the {GRID_BUDGET_BYTES / 2**30:g} GiB budget",
-        )
+    _within_budget("grid.n", f"a run on {grid.n}^3 points", RUN_BYTES_PER_POINT * grid.n**3)
     coeffs = _build_coefficients(top["coefficients"], grid)
     domain = _build_domain(top["domain"], grid)
     model = _build_model(top["model"])
@@ -448,10 +455,16 @@ def parse_scenario(mapping, name: str = "scenario") -> Scenario:
         integrator = IntegratorConfig(**ivals)
         integrator.n_steps
 
-    if top["quasistatic"] is not None and not coeffs.is_constant:
-        raise ConfigError("quasistatic", "the eta study needs constant coefficients")
+    for section, what in (("quasistatic", "the eta study"),
+                          ("fixed_point", "the mollified construction")):
+        if top[section] is not None and not coeffs.is_constant:
+            raise ConfigError(section, f"{what} needs constant coefficients")
     study = _build(EtaStudyConfig, top["quasistatic"], "quasistatic", _QUASISTATIC)
     fixed_point = _build(FixedPointConfig, top["fixed_point"], "fixed_point", _FIXED_POINT)
+    if fixed_point is not None:
+        nodes = fixed_point.n_steps + 1
+        _within_budget("fixed_point.n_steps", f"the construction on {nodes} nodes",
+                       FIXED_POINT_BYTES_PER_MODE_NODE * nodes * grid.n**2 * (grid.n // 2 + 1))
 
     return Scenario(
         name=top["name"],

@@ -167,41 +167,43 @@ class FreePropagator:
         return c, 1.0 - c, (-1j * self.ratio12) * s, (1j * self.ratio21) * s
 
     def apply_hat(
-        self, state_hat: np.ndarray, phases: tuple, support: slice | None = None
+        self, state_hat: np.ndarray, phases: tuple, slot: slice | None = None
     ) -> np.ndarray:
-        """Propagate a (6, ...) spectral stack by exp(-t B), given ``phases(t)``.
+        """Propagate a spectral state by exp(-t B), given ``phases(t)``.
 
-        One pass per output component: slot a of the result is
+        One pass per output component: slot a of the (6, ...) result is
 
             c u_a + (1 - c) khat (khat . u_a) + rot_a khat ^ u_b
 
-        with b the other slot. ``support`` (``slice(0, 3)`` or
-        ``slice(3, 6)``) says that the input is zero outside that slot;
-        the other slot's terms are then skipped and it is never read.
+        with b the other slot. Without ``slot`` the input is a (6, ...)
+        stack. With ``slot`` (``slice(0, 3)`` or ``slice(3, 6)``) it is
+        that slot's own (3, ...) spectrum, the other slot being zero, and
+        each output slot gets only the terms that read it.
         """
-        if support not in (None, _SLOT1, _SLOT2):
-            raise ValueError(f"support must be one EM slot, got {support}")
+        if slot is None:
+            u1, u2 = state_hat[_SLOT1], state_hat[_SLOT2]
+        elif slot in (_SLOT1, _SLOT2) and state_hat.shape[0] == 3:
+            u1, u2 = (state_hat, None) if slot == _SLOT1 else (None, state_hat)
+        else:
+            raise ValueError(f"slot {slot}, shape {state_hat.shape}: expected one EM slot's 3-vector")
         c, one_minus_c, rot1, rot2 = phases
         khat = self.ws.khat
-        out = np.empty_like(state_hat)
-        for own, other, rot in ((_SLOT1, _SLOT2, rot1), (_SLOT2, _SLOT1, rot2)):
-            u, w, o = state_hat[own], state_hat[other], out[own]
-            own_live = support is None or support == own
-            other_live = support is None or support == other
-            if own_live:
+        out = np.empty((6,) + state_hat.shape[1:], dtype=state_hat.dtype)
+        for o, u, w, rot in ((out[_SLOT1], u1, u2, rot1), (out[_SLOT2], u2, u1, rot2)):
+            if u is not None:
                 par = khat[0] * u[0]
                 par += khat[1] * u[1]
                 par += khat[2] * u[2]
                 par *= one_minus_c
             for j in range(3):
                 a, b = (j + 1) % 3, (j + 2) % 3
-                if own_live:
+                if u is not None:
                     np.multiply(c, u[j], out=o[j])
                     o[j] += khat[j] * par
-                if other_live:
+                if w is not None:
                     x = khat[a] * w[b]
                     x -= khat[b] * w[a]
-                    if own_live:
+                    if u is not None:
                         x *= rot
                         o[j] += x
                     else:

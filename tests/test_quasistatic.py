@@ -224,6 +224,8 @@ def test_eta_study_config_validation():
         EtaStudyConfig(eta_list=())
     with pytest.raises(ValueError):
         EtaStudyConfig(eta_list=(0.1, 0.2))  # increasing
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        EtaStudyConfig(eta_list=(0.1, 0.1), t_obs=0.02)  # repeated
     with pytest.raises(ValueError):
         EtaStudyConfig(eta_list=(1.5, 0.2))
     with pytest.raises(ValueError):

@@ -257,6 +257,27 @@ class TestParsing:
         assert main(["run", str(write_yaml(tmp_path, m))]) == 2
         assert "model.levels" in capsys.readouterr().err
 
+    def test_fixed_point_steps_over_memory_budget_rejected(self):
+        # 10^6 nodes of 16^3 spectra would need about 550 GiB; the parse
+        # rejects the count before anything is built.
+        m = base_mapping(fixed_point={"n_mol": 4, "window": 0.02, "n_steps": 10**6})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc:
+                parse_scenario(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.key == "fixed_point.n_steps"
+        assert "budget" in str(exc.value)
+        assert peak < 2**20
+
+    def test_fixed_point_steps_over_memory_budget_exit_two(self, tmp_path, capsys):
+        # ``run`` parses the whole file but never starts the construction.
+        m = base_mapping(fixed_point={"n_mol": 4, "window": 0.02, "n_steps": 10**6})
+        assert main(["run", str(write_yaml(tmp_path, m)), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config error: fixed_point.n_steps: " in capsys.readouterr().err
+
     def test_grid_constructor_error_names_grid(self):
         m = base_mapping()
         m["grid"]["box_len"] = -1
@@ -424,6 +445,24 @@ class TestCli:
         path = write_yaml(tmp_path, m, name="smooth.yaml")
         assert main(["quasistatic-study", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert "quasistatic" in capsys.readouterr().err
+
+    def test_study_with_repeated_eta_exit_two(self, tiny_yaml, tmp_path, capsys):
+        m = yaml.safe_load(tiny_yaml.read_text())
+        m["quasistatic"]["eta_list"] = [0.1, 0.1]
+        path = write_yaml(tmp_path, m, name="repeat.yaml")
+        assert main(["quasistatic-study", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config error: quasistatic: eta_list must be strictly decreasing" in (
+            capsys.readouterr().err)
+
+    def test_compare_mollified_on_variable_coefficients_exit_two(self, tmp_path, capsys):
+        # the construction propagates with the constant-coefficient free flow
+        m = yaml.safe_load((SCENARIO_DIR / "ll_mollified.yaml").read_text())
+        m["coefficients"] = {"profile": "smooth_bump", "radius": 0.2, "width": 0.1,
+                             "amplitude1": 0.3}
+        m["integrator"]["scheme"] = "rk4"
+        path = write_yaml(tmp_path, m, name="smooth.yaml")
+        assert main(["compare-mollified", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config error: fixed_point: " in capsys.readouterr().err
 
     def test_compare_mollified(self, tiny_yaml, tmp_path):
         out = tmp_path / "cmp"

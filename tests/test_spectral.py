@@ -237,6 +237,8 @@ class TestFreePropagator:
     @pytest.mark.parametrize("support, other", [(slice(0, 3), slice(3, 6)),
                                                 (slice(3, 6), slice(0, 3))])
     def test_zero_slot_skip_matches_general_path(self, grid16, ws16, rng, support, other):
+        # A slot's own (3, ...) spectrum propagates exactly as the (6, ...)
+        # stack that holds it with the other slot zero.
         co = Coefficients.constant(grid16, 1.3, 0.7)
         prop = FreePropagator(co, ws16)
         u = random_state(rng, grid16)
@@ -245,12 +247,11 @@ class TestFreePropagator:
         phases = prop.phases(0.37)
         general = prop.apply_hat(uhat, phases)
         assert np.abs(general[other]).max() > 0.1 * np.abs(general[support]).max()
-        np.testing.assert_array_equal(prop.apply_hat(uhat, phases, support=support), general)
-        # the zero slot is never read: junk there changes nothing
-        uhat[other] = np.nan
-        np.testing.assert_array_equal(prop.apply_hat(uhat, phases, support=support), general)
-        with pytest.raises(ValueError, match="support"):
-            prop.apply_hat(uhat, phases, support=slice(1, 4))
+        np.testing.assert_array_equal(prop.apply_hat(uhat[support], phases, slot=support), general)
+        with pytest.raises(ValueError, match="slot"):
+            prop.apply_hat(uhat, phases, slot=support)
+        with pytest.raises(ValueError, match="slot"):
+            prop.apply_hat(uhat[1:4], phases, slot=slice(1, 4))
 
     def test_requires_constant_coefficients(self, grid16, ws16):
         with pytest.raises(ValueError):
