@@ -25,6 +25,7 @@ from .spectral import (
     FreePropagator,
     MollifierSpec,
     apply_B,
+    apply_B_hat,
     curl,
     mollify,
 )

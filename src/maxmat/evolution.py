@@ -10,14 +10,16 @@ whole right-hand side (CFL-limited), and a Lawson scheme that applies
 the exact free propagator to the stiff skew part and RK4 to the rest
 (constant coefficients only, no CFL).
 
-The Lawson step keeps the field in rfft layout between its stages and
-makes 33 scalar 3-D transforms (9 FFT calls): 6 forward for the state,
-3 forward for each of the four stage sources, 3 inverse for the coupled
-slot of each of stages 2-4 (stage 1 samples the state itself), and 6
-inverse for the result. The matter law reads only the coupled 3-vector
-on the matter voxels, so nothing else leaves Fourier space. The state
-``SimState.u`` stays physical, because the run's finite check, the
-monitors and the snapshots all read it there.
+With constant coefficients both steppers keep the field in rfft layout:
+B and the free propagator are per-mode multipliers, and the matter law
+reads only the coupled 3-vector on the matter voxels. A stage transforms
+just that 3-vector, its inverse for the matter law and the forward
+transform of its source, so a step from a spectral state makes 24 scalar
+3-D transforms in 8 FFT calls (27 from a physical state, whose first
+stage samples it directly), and returns a spectral state. A
+:class:`SimState` holds its field in one form, physical or spectral;
+:func:`run` checks finiteness on the form held and makes a physical view
+only at a step where a monitor, channel or snapshot reads it.
 
 The divergence constraint is monitored, never enforced: the curl-free
 content of u - shift(v) is a linear functional annihilated by the exact
@@ -53,6 +55,7 @@ from .spectral import (
     FreePropagator,
     MollifierSpec,
     apply_B,
+    apply_B_hat,
     spectral_weighted_norm,
 )
 
@@ -73,14 +76,56 @@ class ContractionError(FixedPointError):
 CFL_FACTOR = 0.5
 
 
-@dataclass
 class SimState:
-    t: float
-    u: np.ndarray  # (6, n, n, n)
-    v: np.ndarray  # (dim, m)
+    """Time ``t``, EM field and matter state ``v`` (dim, m) of a run.
+
+    The field is held in exactly one form: physical ``(6, n, n, n)``, as
+    ``SimState(t, u, v)`` builds it, or the rfft-layout spectrum
+    ``u_hat`` with the workspace ``ws`` that inverts it, as
+    :meth:`spectral` builds it and the constant-coefficient steppers
+    return it. ``u`` reads the physical field in either case; on a
+    spectral state every read is a fresh inverse transform and the state
+    is left as it was, so threads may share it.
+    """
+
+    def __init__(self, t: float, u: np.ndarray, v: np.ndarray):
+        self.t = t
+        self._u = u
+        self.v = v
+        self.u_hat = None
+        self.ws = None
+
+    @classmethod
+    def spectral(
+        cls, t: float, u_hat: np.ndarray, v: np.ndarray, ws: FourierWorkspace
+    ) -> "SimState":
+        state = cls(t, None, v)
+        state.u_hat, state.ws = u_hat, ws
+        return state
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._u if self.u_hat is None else self.ws.inverse(self.u_hat)
+
+    def spectrum(self, ws: FourierWorkspace) -> np.ndarray:
+        """The field in rfft layout: the one held, or the forward transform of ``u``."""
+        return self.u_hat if self.u_hat is not None else ws.forward(self._u)
+
+    def physical(self) -> "SimState":
+        """This state if its field is physical, else a physical copy of it."""
+        return self if self.u_hat is None else SimState(self.t, self.u, self.v)
+
+    def is_finite(self) -> bool:
+        """Whether the held field and the matter are finite; a non-finite
+        spectrum is a non-finite field."""
+        field = self._u if self.u_hat is None else self.u_hat
+        return bool(np.isfinite(field).all() and np.isfinite(self.v).all())
 
     def copy(self) -> "SimState":
-        return SimState(self.t, self.u.copy(), self.v.copy())
+        """A deep copy in the same form."""
+        if self.u_hat is None:
+            return SimState(self.t, self._u.copy(), self.v.copy())
+        return SimState.spectral(self.t, self.u_hat.copy(), self.v.copy(), self.ws)
 
 
 @dataclass(frozen=True)
@@ -182,6 +227,30 @@ class SimSystem:
         )
         return du, f
 
+    def tendencies_hat(
+        self, u_hat: np.ndarray, v: np.ndarray, field: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`tendencies` with the field in rfft layout; constant coefficients only.
+
+        Only the coupled slot is transformed: its inverse for the matter
+        law, unless the caller passes it as ``field``, and the forward
+        transform of the field source it feeds.
+        """
+        if field is None:
+            field = self.ws.inverse(u_hat[self.slot])
+        f = self.coupled_tendency(field, v)
+        du = apply_B_hat(u_hat, self.coeffs, self.ws)
+        du *= -1.0 / self.eta
+        du[self.slot] += self.ws.forward(self.source_field(f))
+        return du, f
+
+    def coupled_field(self, state: "SimState") -> np.ndarray:
+        """The coupled slot of the state's field in physical space: a view of
+        a physical field, or the inverse transform of that slot's spectrum."""
+        if state.u_hat is None:
+            return state.u[self.slot]
+        return self.ws.inverse(state.u_hat[self.slot])
+
     def constraint_residual(self, state: SimState) -> float:
         return constraint_residual(state.u, self.matter_to_field(state.v), self.coeffs, self.ws)
 
@@ -215,9 +284,11 @@ def make_initial(
     return SimState(t=0.0, u=u, v=v_init.copy())
 
 
-def _rk4(f, y: tuple, dt: float) -> tuple:
-    """One classical RK4 step of y' = f(*y) over a tuple of arrays."""
-    k1 = f(*y)
+def _rk4(f, y: tuple, dt: float, k1: tuple | None = None) -> tuple:
+    """One classical RK4 step of y' = f(*y) over a tuple of arrays;
+    ``k1``, when the caller has it, is f(*y)."""
+    if k1 is None:
+        k1 = f(*y)
     k2 = f(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
     k3 = f(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
     k4 = f(*(a + dt * k for a, k in zip(y, k3)))
@@ -255,8 +326,23 @@ def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
 
 
 def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
-    un, vn = _rk4(system.tendencies, (state.u, state.v), dt)
-    return SimState(state.t + dt, un, vn)
+    """One classical RK4 step of the whole system.
+
+    With constant coefficients B is a per-mode multiplier, so the stages
+    run on the rfft-layout field and a stage transforms only the coupled
+    3-vector (:meth:`SimSystem.tendencies_hat`): 4 * (3 + 3) = 24 scalar
+    transforms from a spectral state. A physical state adds its
+    6-component forward transform, and stage 1 samples it without an
+    inverse: 27. The result is spectral. Variable coefficients step in
+    physical space.
+    """
+    if not system.coeffs.is_constant:
+        un, vn = _rk4(system.tendencies, (state.u, state.v), dt)
+        return SimState(state.t + dt, un, vn)
+    y = (state.spectrum(system.ws), state.v)
+    k1 = system.tendencies_hat(*y, field=system.coupled_field(state))
+    un_hat, vn = _rk4(system.tendencies_hat, y, dt, k1)
+    return SimState.spectral(state.t + dt, un_hat, vn, system.ws)
 
 
 def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
@@ -270,13 +356,13 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     so all six propagator applications and the Runge-Kutta combinations
     act on spectra, with the half-step phases computed once. A stage
     needs the field only as the coupled 3-vector that the matter law
-    samples: stage 1 reads it from the physical state, stages 2-4
-    inverse-transform just that slot of their argument. Each stage's
+    samples, which each stage inverse-transforms from its argument
+    (stage 1 of a physical state samples the state itself). Each stage's
     source is the 3-vector spectrum of the coupled slot, which the
-    propagator takes as it is. With the state's forward transform and
-    the result's inverse that is 6 + 4*3 + 3*3 + 6 = 33 scalar
-    transforms. The result is returned physical, as every consumer of a
-    state expects.
+    propagator takes as it is. From a spectral state that is
+    4*3 + 4*3 = 24 scalar transforms; a physical one adds its 6-component
+    forward transform and saves stage 1's inverse, 27 in all. The result
+    is spectral.
     """
     prop, ws, slot = system.propagator, system.ws, system.slot
     h = dt
@@ -288,8 +374,8 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
 
     # Each spectrum is released once spent; at 64^3 that lowers a run's
     # peak memory by about a sixth.
-    a = prop.apply_hat(ws.forward(state.u), phases)
-    f1 = system.matter_tendency(state.u, v)
+    a = prop.apply_hat(state.spectrum(ws), phases)
+    f1 = system.coupled_tendency(system.coupled_field(state), v)
     e_c1 = prop.apply_hat(ws.forward(system.source_field(f1)), phases, slot=slot)
     f2 = tendency(a[slot] + 0.5 * h * e_c1[slot], v + 0.5 * h * f1)
     c2 = ws.forward(system.source_field(f2))
@@ -308,9 +394,8 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     acc[slot] += ws.forward(system.source_field(f4))
     acc *= h / 6.0
     acc += e_a
-    un = ws.inverse(acc)
     vn = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return SimState(state.t + dt, un, vn)
+    return SimState.spectral(state.t + dt, acc, vn, ws)
 
 
 def step(system: SimSystem, state: SimState, cfg: IntegratorConfig) -> SimState:
@@ -348,9 +433,11 @@ def run(
     ``channels`` has the same signature but is sampled at every step
     boundary (for time-quadrature of rates). ``snapshot_cb(system,
     state, step)`` is called on the monitor rule with ``snapshot_stride``
-    in place of ``stride``, and never when that is 0. Returns
-    (final_state, records, channel_series) where records is a list of
-    dicts and channel_series maps names to arrays over all step times.
+    in place of ``stride``, and never when that is 0. All of them see a
+    state with a physical field. Returns (final_state, records,
+    channel_series) where records is a list of dicts and channel_series
+    maps names to arrays over all step times; the final state holds its
+    field in the form the last step left it.
     """
     monitors = monitors or {}
     channels = channels or {}
@@ -367,17 +454,22 @@ def run(
         if i > 0:
             state = step(system, state, cfg)
             state.t = t0 + i * cfg.dt
-            if not np.isfinite(state.u).all() or not np.isfinite(state.v).all():
+            if not state.is_finite():
                 raise NumericalAbort(f"non-finite state at t={state.t:.6g} (step {i})")
+        # Readers get a physical view, made only at a step that has one;
+        # the stepping continues from ``state`` in whatever form it holds.
+        reads = channels or (monitors and sampled(i)) or (snap and snap(i))
+        seen = state.physical() if reads else state
         for name, fn in channels.items():
-            series[name].append(float(fn(system, state)))
+            series[name].append(float(fn(system, seen)))
         if sampled(i):
-            row = {"t": state.t, "step": i}
+            row = {"t": seen.t, "step": i}
             for name, fn in monitors.items():
-                row[name] = float(fn(system, state))
+                row[name] = float(fn(system, seen))
             records.append(row)
         if snap and snap(i):
-            snapshot_cb(system, state, i)
+            snapshot_cb(system, seen, i)
+        del seen  # a physical view must not outlive its step
 
     channel_arrays = {name: np.asarray(vals) for name, vals in series.items()}
     return state, records, channel_arrays
@@ -467,7 +559,7 @@ def mollified_fixed_point(
     dt = cfg.window / J
     times = dt * np.arange(J + 1)
 
-    u0_hat = ws.forward(state0.u)
+    u0_hat = state0.spectrum(ws)
     v0 = state0.v.copy()
 
     # The node phases are the same in every sweep; exp(+t B) takes the

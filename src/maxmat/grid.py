@@ -17,6 +17,7 @@ periodic images do not talk to each other over desk-scale horizons.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -252,9 +253,18 @@ def load_fields(path) -> tuple[np.ndarray, Grid3]:
             raise ValueError(f"{path}: not a field snapshot (magic {magic!r})")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
-        grid = Grid3(n=n, box_len=box_len)
-        out = np.empty((ncomp,) + grid.shape)
+        try:
+            grid = Grid3(n=n, box_len=box_len)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad snapshot header: {exc}") from None
         size = 8 * n**3
+        have = os.fstat(fh.fileno()).st_size
+        if have < _HEADER.size + ncomp * size:
+            raise ValueError(
+                f"{path}: truncated snapshot body: the header asks for {ncomp} "
+                f"components of {n}^3 values, the file has {have} bytes"
+            )
+        out = np.empty((ncomp,) + grid.shape)
         for c in range(ncomp):
             raw = fh.read(size)
             if len(raw) < size:

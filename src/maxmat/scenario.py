@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 import yaml
 
 from .evolution import FixedPointConfig, IntegratorConfig, SimState, SimSystem
@@ -203,8 +204,8 @@ def _smooth_indicator(grid: Grid3, center, radius: float, width: float) -> np.nd
     if total <= 0.0:
         raise ConfigError("coefficients.width", "mollification width narrower than one cell")
     kern /= total
-    conv = np.fft.irfftn(
-        np.fft.rfftn(ind, axes=(0, 1, 2)) * np.fft.rfftn(kern, axes=(0, 1, 2)),
+    conv = scipy.fft.irfftn(
+        scipy.fft.rfftn(ind, axes=(0, 1, 2)) * scipy.fft.rfftn(kern, axes=(0, 1, 2)),
         s=grid.shape,
         axes=(0, 1, 2),
     )
@@ -370,8 +371,8 @@ def band_limited_field(grid: Grid3, seed: int, band: int, amplitude: float) -> n
         & (np.abs(kx)[None, :, None] <= band)
         & (kz[None, None, :] <= band)
     )
-    what = np.fft.rfftn(w, axes=(-3, -2, -1)) * mask
-    out = np.fft.irfftn(what, s=grid.shape, axes=(-3, -2, -1))
+    what = scipy.fft.rfftn(w, axes=(-3, -2, -1)) * mask
+    out = scipy.fft.irfftn(what, s=grid.shape, axes=(-3, -2, -1))
     peak = float(np.abs(out).max())
     return out * (amplitude / peak) if peak > 0 else out
 

@@ -1,9 +1,9 @@
 """Fourier-side machinery: curl, the skew-adjoint field operator, its
 exact free propagator, and the spectral mollifier family.
 
-Everything here uses real-to-complex FFTs batched over the leading
-component axis. Transforms are the only O(n^3 log n) operation in the
-package; all multipliers are cached per workspace.
+Everything here uses real-to-complex FFTs (``scipy.fft``) batched over
+the leading component axis. Transforms are the only O(n^3 log n)
+operation in the package; all multipliers are cached per workspace.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .grid import Coefficients, Grid3, cross, require_same_grid
 
@@ -80,10 +81,10 @@ class FourierWorkspace:
 
     def forward(self, fields: np.ndarray) -> np.ndarray:
         """rfftn over the trailing three axes; leading axes are batched."""
-        return np.fft.rfftn(fields, axes=(-3, -2, -1))
+        return scipy.fft.rfftn(fields, axes=(-3, -2, -1))
 
     def inverse(self, spectra: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spectra, s=self.grid.shape, axes=(-3, -2, -1))
+        return scipy.fft.irfftn(spectra, s=self.grid.shape, axes=(-3, -2, -1))
 
     def hermitian_planes(self, spectra: np.ndarray) -> np.ndarray:
         """Symmetrise the kz = 0 and kz = Nyquist planes in place; returns ``spectra``.
@@ -123,6 +124,21 @@ def apply_B(state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np
     out = np.empty_like(state)
     out[0:3] = curl(state[3:6], ws) / coeffs.kappa1
     out[3:6] = -curl(state[0:3], ws) / coeffs.kappa2
+    return out
+
+
+def apply_B_hat(state_hat: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np.ndarray:
+    """:func:`apply_B` on an rfft-layout (6, ...) stack, constant weights only.
+
+    There B is the per-mode multiplier (i xi ^ u2 / k1, -i xi ^ u1 / k2),
+    so no transform is needed.
+    """
+    k1, k2 = coeffs.constant_values()
+    out = np.empty_like(state_hat)
+    out[0:3] = cross(ws.xi, state_hat[3:6])
+    out[0:3] *= 1j / k1
+    out[3:6] = cross(ws.xi, state_hat[0:3])
+    out[3:6] *= -1j / k2
     return out
 
 

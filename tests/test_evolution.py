@@ -31,6 +31,7 @@ from maxmat import (
     unpack_rho,
     weighted_norm,
 )
+from maxmat.evolution import _rk4
 from maxmat.models import MatterModel
 
 from .conftest import count_transforms, smooth_coefficients, tilted_magnetization
@@ -172,11 +173,157 @@ def test_spectral_lawson_step_matches_physical_reference(kind, ll_system, grid16
     assert np.abs(state.v - ref.v).max() <= 1e-12 * np.abs(ref.v).max()
 
 
-def test_lawson_step_makes_33_scalar_transforms(ll_system, ll_state, monkeypatch):
+def test_lawson_step_makes_27_scalar_transforms(ll_system, ll_state, monkeypatch):
     transforms = count_transforms(monkeypatch)
     step(ll_system, ll_state, IntegratorConfig(dt=1e-3, t_end=1e-3, scheme="lawson_exp"))
-    assert len(transforms) == 9
-    assert sum(transforms) == 33
+    assert len(transforms) == 8
+    assert sum(transforms) == 27
+
+
+@pytest.mark.parametrize("kind", ["landau_lifschitz", "bloch"])
+def test_spectral_rk4_step_matches_physical_reference(kind, ll_system, grid16, rng):
+    # on constant coefficients the RK4 stages run on spectra; over five steps
+    # that is the same map as classical RK4 on the physical tendencies
+    if kind == "bloch":
+        sys_ = _bloch_system(grid16, eta=0.5)
+        rho = np.zeros((3, 3, sys_.domain.count), dtype=complex)
+        rho[0, 0] = rho[1, 1] = rho[0, 1] = rho[1, 0] = 0.5
+        v0 = pack_rho(rho)
+    else:
+        sys_ = ll_system
+        v0 = tilted_magnetization(sys_.domain)
+    state0 = make_initial(sys_, v0, u_free=rng.standard_normal((6,) + grid16.shape))
+    cfg = IntegratorConfig(dt=2e-3, t_end=2e-3, scheme="rk4")
+    state, (u, v) = state0, (state0.u, state0.v)
+    for _ in range(5):
+        state = step(sys_, state, cfg)
+        u, v = _rk4(sys_.tendencies, (u, v), cfg.dt)
+    assert state.u_hat is not None
+    assert np.abs(state.u - u).max() <= 1e-12 * np.abs(u).max()
+    assert np.abs(state.v - v).max() <= 1e-12 * np.abs(v).max()
+    # not vacuous: the matter moved, and it reads the field
+    assert np.abs(v - v0).max() > 1e-6
+    unlit = SimState(0.0, np.zeros_like(u), v0)
+    assert np.abs(step(sys_, unlit, cfg).v - step(sys_, state0, cfg).v).max() > 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "lawson_exp"])
+def test_step_from_spectral_state_makes_24_scalar_transforms(
+    scheme, ll_system, ll_state, monkeypatch
+):
+    ws = ll_system.ws
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-3, scheme=scheme)
+    spectral = SimState.spectral(0.0, ws.forward(ll_state.u), ll_state.v, ws)
+    transforms = count_transforms(monkeypatch)
+    out = step(ll_system, spectral, cfg)
+    assert (len(transforms), sum(transforms)) == (8, 24)
+    assert out.u_hat is not None
+    # a physical input adds its 6-component forward transform, and stage 1
+    # samples it without the 3-component inverse
+    transforms.clear()
+    step(ll_system, ll_state, cfg)
+    assert (len(transforms), sum(transforms)) == (8, 27)
+    assert transforms[0] == 6
+
+
+def _held_forms(state):
+    return [name for name in ("_u", "u_hat") if getattr(state, name) is not None]
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "lawson_exp"])
+def test_state_holds_one_form(scheme, ll_system, ll_state):
+    cfg = IntegratorConfig(dt=1e-3, t_end=3e-3, scheme=scheme)
+    assert _held_forms(ll_state) == ["_u"]
+    seen = []
+    final, _, _ = run(ll_system, ll_state, cfg, monitors={
+        "forms": lambda s, st: seen.append(_held_forms(st)) or 0.0})
+    assert seen == [["_u"]] * 4
+    assert _held_forms(final) == ["u_hat"]
+    # reading u neither caches nor converts
+    u = final.u
+    assert _held_forms(final) == ["u_hat"]
+    np.testing.assert_array_equal(final.u, u)
+    for state in (ll_state, final):
+        dup = state.copy()
+        assert _held_forms(dup) == _held_forms(state)
+        assert dup.t == state.t and np.array_equal(dup.u, state.u)
+        held = getattr(dup, _held_forms(dup)[0])
+        held[...] = 0.0
+        dup.v[...] = 0.0
+        assert np.abs(state.u).max() > 0.0 and np.abs(state.v).max() > 0.0
+
+
+def test_threads_share_a_spectral_state(ll_system, ll_state):
+    # the eta sweep hands one state to every worker; reading u must not write to it
+    import sys
+    import threading
+
+    ws = ll_system.ws
+    shared = SimState.spectral(0.0, ws.forward(ll_state.u), ll_state.v, ws)
+    expect = shared.u
+    bad = []
+
+    def reader():
+        for _ in range(20):
+            if not np.array_equal(shared.u, expect) or _held_forms(shared) != ["u_hat"]:
+                bad.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=reader) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == []
+
+
+def test_run_makes_physical_views_only_where_read(ll_system, ll_state, monkeypatch):
+    # four Lawson steps sampled every second step: 27 + 3 * 24 transforms in
+    # the steps, and one 6-component inverse for each of samples 2 and 4
+    cfg = IntegratorConfig(dt=1e-3, t_end=4e-3, scheme="lawson_exp")
+    transforms = count_transforms(monkeypatch)
+    run(ll_system, ll_state, cfg, monitors={"em": lambda s, st: float(st.u[0, 0, 0, 0])},
+        stride=2)
+    assert sum(transforms) == 27 + 3 * 24 + 2 * 6
+    transforms.clear()
+    run(ll_system, ll_state, cfg)
+    assert sum(transforms) == 27 + 3 * 24
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "lawson_exp"])
+def test_nan_in_spectral_state_aborts_at_same_step(scheme, grid16):
+    co = Coefficients.constant(grid16, 1.0, 1.0)
+    w = 2 * grid16.spacing
+    dom = box_mask(grid16, (0.5, 0.5, 0.5), (w, w, w))
+    sys_ = SimSystem(grid16, co, dom, Quadratic())
+    ws = sys_.ws
+    cfg = IntegratorConfig(dt=5e-3, t_end=1.0, scheme=scheme)
+
+    def abort_message(state):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as err:
+            run(sys_, state, cfg)
+        return str(err.value)
+
+    # a NaN in one voxel of the field, or in one mode of its spectrum
+    u = np.zeros((6,) + grid16.shape)
+    u[4, 1, 2, 3] = np.nan
+    u_hat = ws.forward(np.zeros_like(u))
+    u_hat[4, 1, 2, 3] = np.nan
+    v0 = np.full((1, dom.count), 1.0)
+    physical = abort_message(SimState(0.0, u, v0))
+    assert physical.endswith("(step 1)")
+    assert abort_message(SimState.spectral(0.0, u_hat, v0, ws)) == physical
+    # matter that blows up near t = 0.02 (v' = v^2 from 50), from either form
+    v0 = np.full((1, dom.count), 50.0)
+    u = np.zeros((6,) + grid16.shape)
+    physical = abort_message(SimState(0.0, u, v0))
+    assert not physical.endswith("(step 1)")
+    assert abort_message(SimState.spectral(0.0, ws.forward(u), v0, ws)) == physical
 
 
 def test_variable_projection_transform_counts(monkeypatch):

@@ -20,7 +20,7 @@ from maxmat import (
     weighted_norm,
 )
 
-from maxmat.grid import cross
+from maxmat.grid import _HEADER, MAGIC, SNAPSHOT_VERSION, cross
 
 from .conftest import random_state, smooth_coefficients
 
@@ -178,6 +178,17 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + bytes(20))
     with pytest.raises(ValueError):
         load_fields(path)
+
+
+@pytest.mark.parametrize("n, match", [(3, "n >= 8"), (2**20, "truncated")])
+def test_snapshot_bad_header_names_the_file(tmp_path, n, match):
+    # n = 3 is no grid; n = 2**20 asks for 8 EiB per component from a
+    # 28-byte file, refused before anything is allocated
+    path = tmp_path / f"header_{n}.bin"
+    path.write_bytes(_HEADER.pack(MAGIC, SNAPSHOT_VERSION, n, 1.0, 1))
+    with pytest.raises(ValueError, match=match) as err:
+        load_fields(path)
+    assert str(path) in str(err.value)
 
 
 def test_snapshot_deterministic_bytes(tmp_path, grid8, rng):

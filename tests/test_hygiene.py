@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or assigns a local it never reads, and every name the benchmark tracer
-wraps still exists."""
+"""Source hygiene: no module of the package imports a name it never uses,
+assigns a local it never reads or calls a numpy FFT transform, and every
+name the benchmark tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -94,6 +94,45 @@ def test_scan_finds_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+# The package transforms through scipy.fft only; numpy's frequency tables are fine.
+NP_FFT_ALLOWED = {"fftfreq", "rfftfreq"}
+
+
+def numpy_fft_calls(source: str) -> list[str]:
+    """Calls of a ``np.fft`` / ``numpy.fft`` transform, by name and line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        owner = node.func.value
+        if (
+            isinstance(owner, ast.Attribute)
+            and owner.attr == "fft"
+            and isinstance(owner.value, ast.Name)
+            and owner.value.id in ("np", "numpy")
+            and node.func.attr not in NP_FFT_ALLOWED
+        ):
+            out.append(f"{owner.value.id}.fft.{node.func.attr} (line {node.lineno})")
+    return out
+
+
+def test_scan_finds_numpy_fft_call():
+    src = (
+        "import numpy as np\n"
+        "import scipy.fft\n"
+        "a = np.fft.rfftn(x, axes=(0, 1, 2))\n"
+        "k = np.fft.fftfreq(8) + np.fft.rfftfreq(8)\n"
+        "b = scipy.fft.irfftn(a)\n"
+        "c = numpy.fft.ifft(b)\n"
+    )
+    assert numpy_fft_calls(src) == ["np.fft.rfftn (line 3)", "numpy.fft.ifft (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_fft_transforms(path):
+    assert numpy_fft_calls(path.read_text()) == []
 
 
 def test_benchmark_tracer_finds_every_traced_name():

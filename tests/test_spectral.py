@@ -17,6 +17,7 @@ from maxmat import (
     Grid3,
     MollifierSpec,
     apply_B,
+    apply_B_hat,
     curl,
     mollify,
     project_P,
@@ -160,6 +161,17 @@ def test_apply_B_block_structure(grid16, ws16, rng):
     out = apply_B(u, co, ws16)
     np.testing.assert_allclose(out[0:3], curl(u[3:6], ws16) / co.kappa1, atol=1e-14)
     np.testing.assert_allclose(out[3:6], -curl(u[0:3], ws16) / co.kappa2, atol=1e-14)
+
+
+def test_apply_B_hat_is_apply_B_on_spectra(grid16, ws16, rng):
+    # white noise has Nyquist content, where the odd multiplier must vanish as in curl
+    co = Coefficients.constant(grid16, 0.7, 1.9)
+    u = random_state(rng, grid16)
+    got = ws16.inverse(apply_B_hat(ws16.forward(u), co, ws16))
+    expect = apply_B(u, co, ws16)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+    with pytest.raises(ValueError, match="constant"):
+        apply_B_hat(ws16.forward(u), smooth_coefficients(grid16), ws16)
 
 
 class TestFreePropagator:
