@@ -567,8 +567,8 @@ def mollified_fixed_point(
     phases = [prop.phases(t / eta) for t in times]
 
     def back_phases(j: int) -> tuple:
-        c, one_minus_c, rot1, rot2 = phases[j]
-        return c, one_minus_c, -rot1, -rot2
+        c, par, rot1, rot2 = phases[j]
+        return c, par, -rot1, -rot2
 
     # Starting guess: the free flow with frozen matter. When the matter
     # tendency vanishes identically this is already the fixed point.

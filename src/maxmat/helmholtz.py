@@ -39,34 +39,6 @@ class ProjectionSolveError(RuntimeError):
     """The elliptic solve behind the projector did not reach tolerance."""
 
 
-def _grad_hat(phi_hat: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
-    """i xi phi_hat: the half-spectrum of grad phi."""
-    i_phi = 1j * phi_hat
-    out = np.empty((3,) + phi_hat.shape, dtype=complex)
-    for x, o in zip(ws.xi, out):
-        np.multiply(x, i_phi, out=o)
-    return out
-
-
-def _neg_div_hat(vhat: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
-    """-i xi . vhat: the half-spectrum of -div v, Hermitian in the kz = 0 and
-    kz = Nyquist planes."""
-    out = ws.xi[0] * vhat[0]
-    out += ws.xi[1] * vhat[1]
-    out += ws.xi[2] * vhat[2]
-    out *= -1j
-    return ws.hermitian_planes(out)
-
-
-def _dot_hat(a_hat: np.ndarray, b_hat: np.ndarray, ws: FourierWorkspace) -> float:
-    """n^3 times the grid sum of a * b, from half-spectra (Parseval)."""
-    w = ws.mode_weights
-    return float(
-        np.einsum("ijk,ijk,ijk->", w, a_hat.real, b_hat.real)
-        + np.einsum("ijk,ijk,ijk->", w, a_hat.imag, b_hat.imag)
-    )
-
-
 def project_complement(
     v: np.ndarray,
     kappa: np.ndarray,
@@ -82,41 +54,41 @@ def project_complement(
     require_same_grid(v, kappa)
 
     if float(np.ptp(kappa)) == 0.0:
-        # Constant weight: grad phi = xi (xi . vhat) / |xi|^2 mode by mode.
-        return ws.inverse(ws.longitudinal(ws.forward(v)))
+        # Constant weight: phi = -div v / |xi|^2 mode by mode.
+        return ws.inverse(ws.grad_hat(ws.inv_xi_sq * ws.div_hat(ws.forward(v), -1.0)))
 
     # PCG on half-spectra. xi vanishes at the zero mode, so every iterate
     # has zero mean and the gauge needs no step of its own.
-    b = _neg_div_hat(ws.forward(kappa * v), ws)
-    bnorm = np.sqrt(_dot_hat(b, b, ws))
+    def neg_div(w: np.ndarray) -> np.ndarray:
+        return ws.hermitian_planes(ws.div_hat(ws.forward(kappa * w), -1.0))
+
+    b = neg_div(v)
+    bnorm = np.sqrt(ws.inner_hat(b, b))
     if bnorm == 0.0:
         return np.zeros_like(v)
-
-    def apply_A(p: np.ndarray) -> np.ndarray:
-        return _neg_div_hat(ws.forward(kappa * ws.inverse(_grad_hat(p, ws))), ws)
 
     phi = np.zeros_like(b)
     r = b.copy()
     z = ws.inv_xi_sq * r
     p = z.copy()
-    rz = _dot_hat(r, z, ws)
+    rz = ws.inner_hat(r, z)
     for _ in range(PCG_MAX_ITER):
-        Ap = apply_A(p)
-        pAp = _dot_hat(p, Ap, ws)
+        Ap = neg_div(ws.inverse(ws.grad_hat(p)))
+        pAp = ws.inner_hat(p, Ap)
         if pAp <= 0:
             raise ProjectionSolveError("PCG lost positive definiteness; check the weight field")
         alpha = rz / pAp
         phi += alpha * p
         r -= alpha * Ap
-        if np.sqrt(_dot_hat(r, r, ws)) <= PCG_RTOL * bnorm:
-            return ws.inverse(_grad_hat(phi, ws))
+        if np.sqrt(ws.inner_hat(r, r)) <= PCG_RTOL * bnorm:
+            return ws.inverse(ws.grad_hat(phi))
         z = ws.inv_xi_sq * r
-        rz_new = _dot_hat(r, z, ws)
+        rz_new = ws.inner_hat(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise ProjectionSolveError(
         f"PCG did not reach rtol={PCG_RTOL} within {PCG_MAX_ITER} iterations "
-        f"(residual {np.sqrt(_dot_hat(r, r, ws)) / bnorm:.3e} of source norm)"
+        f"(residual {np.sqrt(ws.inner_hat(r, r)) / bnorm:.3e} of source norm)"
     )
 
 

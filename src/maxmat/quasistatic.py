@@ -39,7 +39,7 @@ from .evolution import (
     run,
 )
 from .grid import ball_indicator, matter_l2_norm
-from .helmholtz import project_complement
+from .helmholtz import project_complement, project_P
 
 
 def with_eta(system: SimSystem, eta: float) -> SimSystem:
@@ -151,19 +151,10 @@ def _substeps(sample_dt: float, dt_cap: float) -> tuple[int, float]:
 
 
 def _pu_local_norm(system: SimSystem, u: np.ndarray, ball: np.ndarray) -> float:
-    """L2 norm over the ball of the divergence-free part, zero mode removed.
-
-    Constant coefficients: the projector is the mode-by-mode transverse
-    part for each slot.
-    """
-    ws = system.ws
-    uhat = ws.forward(u)
-    for sl in (slice(0, 3), slice(3, 6)):
-        uhat[sl] -= ws.longitudinal(uhat[sl])
-        uhat[sl][..., 0, 0, 0] = 0.0
-    pu = ws.inverse(uhat)
-    sq = np.einsum("cijk,cijk->ijk", pu, pu)
-    return float(np.sqrt(np.sum(sq[ball]) * system.grid.cell_volume))
+    """L2 norm over the ball of the divergence-free part, zero mode removed."""
+    pu = project_P(u, system.coeffs, system.ws)
+    pu -= pu.mean(axis=(1, 2, 3), keepdims=True)
+    return matter_l2_norm(pu[:, ball], system.grid)
 
 
 def _eta_run(

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-assigns a local it never reads or calls a numpy FFT transform, and every
-name the benchmark tracer wraps still exists."""
+assigns a local it never reads, calls a numpy FFT transform or reads the
+workspace's rfft-layout tables (``xi``, ``mode_weights``) outside
+``spectral``; every source file parses as the oldest Python the package
+admits; and every name the benchmark tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -133,6 +135,49 @@ def test_scan_finds_numpy_fft_call():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_numpy_fft_transforms(path):
     assert numpy_fft_calls(path.read_text()) == []
+
+
+# Workspace attributes that carry the rfft layout; only spectral.py reads them.
+LAYOUT_TABLES = {"xi", "mode_weights"}
+
+
+def layout_table_reads(source: str) -> list[str]:
+    """Attribute reads of a workspace layout table, by name and line."""
+    reads = [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_TABLES
+    ]
+    return [f"{attr} (line {line})" for line, attr in sorted(reads)]
+
+
+def test_scan_finds_layout_table_read():
+    src = (
+        "a = ws.xi[0] * b\n"
+        "c = ws.xi_sq + ws.inv_xi_sq\n"
+        "d = self.ws.mode_weights * e\n"
+        "xi = ws.div_hat(e)\n"
+    )
+    assert layout_table_reads(src) == ["xi (line 1)", "mode_weights (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "spectral.py"], ids=lambda p: p.name
+)
+def test_layout_tables_stay_in_spectral(path):
+    assert layout_table_reads(path.read_text()) == []
+
+
+# pyproject.toml admits Python >= 3.10.
+OLDEST_PYTHON = (3, 10)
+SOURCES = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+
+
+def test_sources_parse_as_oldest_python():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST_PYTHON)
 
 
 def test_benchmark_tracer_finds_every_traced_name():

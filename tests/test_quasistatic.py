@@ -21,15 +21,17 @@ from maxmat import (
     extend_by_zero,
     make_initial,
     matter_l2_norm,
+    project_P,
     reduced_rhs,
     restrict_to_domain,
     run_reduced,
     slaved_field,
     with_eta,
 )
+from maxmat.grid import ball_indicator
 from maxmat.quasistatic import _pu_local_norm
 
-from .conftest import tilted_magnetization
+from .conftest import count_transforms, random_state, tilted_magnetization
 
 
 @pytest.fixture()
@@ -131,6 +133,38 @@ def test_run_reduced_emits_consistent_state(qs_system):
     # the slaved field carries no divergence-free content at all
     ball = np.ones(qs_system.grid.shape, dtype=bool)
     assert _pu_local_norm(qs_system, res.state.u, ball) < 1e-12
+
+
+def reference_pu_local_norm(system, u, ball):
+    """Ball L2 norm of the transverse part of each slot, zero mode zeroed,
+    written mode by mode from the raw wavevectors."""
+    ws = system.ws
+    uhat = np.fft.rfftn(u, axes=(1, 2, 3))
+    xi = [np.broadcast_to(x, ws.spectral_shape) for x in ws.xi]
+    xi_sq = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+    inv = np.where(xi_sq > 0, 1.0 / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
+    for sl in (slice(0, 3), slice(3, 6)):
+        along = sum(x * c for x, c in zip(xi, uhat[sl])) * inv
+        for i in range(3):
+            uhat[sl][i] -= xi[i] * along
+        uhat[sl][..., 0, 0, 0] = 0.0
+    pu = np.fft.irfftn(uhat, s=system.grid.shape, axes=(1, 2, 3))
+    return float(np.sqrt(np.sum((pu**2).sum(axis=0)[ball]) * system.grid.cell_volume))
+
+
+def test_pu_local_norm_matches_transverse_reference(grid16, qs_system, rng, monkeypatch):
+    system = SimSystem(grid16, Coefficients.constant(grid16, 2.0, 0.5),
+                       qs_system.domain, qs_system.model)
+    u = random_state(rng, grid16) + np.arange(1.0, 7.0).reshape(6, 1, 1, 1)
+    ball = ball_indicator(grid16, (0.5, 0.5, 0.5), 0.3)
+    expect = reference_pu_local_norm(system, u, ball)
+    # the mean is large against the rest, so a kept zero mode would show
+    kept = project_P(u, system.coeffs, system.ws)
+    assert np.sqrt(np.sum((kept**2).sum(axis=0)[ball]) * grid16.cell_volume) > 1.5 * expect
+    transforms = count_transforms(monkeypatch)
+    got = _pu_local_norm(system, u, ball)
+    assert got == pytest.approx(expect, rel=1e-13)
+    assert sum(transforms) == 12
 
 
 def test_eta_study_small(qs_system):

@@ -76,6 +76,34 @@ def band_limited(rng, grid, kmax=3, components=6):
     return out / np.abs(out).max()
 
 
+def reference_propagate(uhat, prop, t):
+    """exp(-t B) of a (6, ...) half-spectrum, mode by mode from the
+    unit wavevector khat = xi / |xi|, as the FreePropagator docstring
+    states it: the parallel part khat (khat . u) is frozen, the rest turns
+    by cos(wt), and the rotation term is khat ^ u of the other slot."""
+    ws = prop.ws
+    xi = np.stack([np.broadcast_to(x, ws.spectral_shape) for x in ws.xi])
+    norm = np.sqrt(np.sum(xi**2, axis=0))
+    khat = xi / np.where(norm > 0, norm, 1.0)
+    wt = norm / np.sqrt(prop.kappa1 * prop.kappa2) * t
+    c, s = np.cos(wt), np.sin(wt)
+
+    def par(u):
+        return khat * np.sum(khat * u, axis=0)
+
+    def khat_cross(u):
+        return np.stack([khat[(j + 1) % 3] * u[(j + 2) % 3] - khat[(j + 2) % 3] * u[(j + 1) % 3]
+                         for j in range(3)])
+
+    u1, u2 = uhat[0:3], uhat[3:6]
+    r12 = np.sqrt(prop.kappa2 / prop.kappa1)
+    r21 = np.sqrt(prop.kappa1 / prop.kappa2)
+    return np.concatenate([
+        par(u1) + c * (u1 - par(u1)) - 1j * s * r12 * khat_cross(u2),
+        par(u2) + c * (u2 - par(u2)) + 1j * s * r21 * khat_cross(u1),
+    ])
+
+
 # ----------------------------------------------------------------- tests
 
 
@@ -265,6 +293,23 @@ class TestFreePropagator:
         with pytest.raises(ValueError, match="slot"):
             prop.apply_hat(uhat[1:4], phases, slot=slice(1, 4))
 
+    def test_apply_hat_matches_khat_reference(self, grid16, ws16, rng):
+        # white noise has Nyquist content, where the odd multipliers vanish
+        co = Coefficients.constant(grid16, 1.3, 0.7)
+        prop = FreePropagator(co, ws16)
+        uhat = ws16.forward(random_state(rng, grid16))
+        for t in (0.37, -1.9):
+            phases = prop.phases(t)
+            expect = reference_propagate(uhat, prop, t)
+            scale = np.abs(expect).max()
+            assert np.abs(prop.apply_hat(uhat, phases) - expect).max() <= 1e-14 * scale
+            for slot, other in ((slice(0, 3), slice(3, 6)), (slice(3, 6), slice(0, 3))):
+                only = uhat.copy()
+                only[other] = 0.0
+                expect = reference_propagate(only, prop, t)
+                got = prop.apply_hat(uhat[slot], phases, slot=slot)
+                assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
     def test_requires_constant_coefficients(self, grid16, ws16):
         with pytest.raises(ValueError):
             FreePropagator(smooth_coefficients(grid16), ws16)
@@ -338,3 +383,43 @@ def test_hermitian_planes_keep_what_inverse_keeps(grid16, ws16, rng):
         plane = h[..., k]
         np.testing.assert_array_equal(plane, plane[:, neg][:, :, neg].conj())
     assert np.abs(h - a).max() > 0.1
+
+
+def white_half_spectrum(rng, ws, components):
+    shape = (components,) + ws.spectral_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestKernels:
+    def test_div_of_curl_hat_vanishes(self, ws16, rng):
+        v = white_half_spectrum(rng, ws16, 3)
+        cv = ws16.curl_hat(v)
+        xi_max = max(np.abs(x).max() for x in ws16.xi)
+        assert np.abs(cv).max() > 1.0
+        assert np.abs(ws16.div_hat(cv)).max() <= 1e-14 * xi_max * np.abs(cv).max()
+
+    def test_curl_of_grad_hat_vanishes(self, ws16, rng):
+        p = white_half_spectrum(rng, ws16, 1)[0]
+        gp = ws16.grad_hat(p)
+        xi_max = max(np.abs(x).max() for x in ws16.xi)
+        assert np.abs(gp).max() > 1.0
+        assert np.abs(ws16.curl_hat(gp)).max() <= 1e-14 * xi_max * np.abs(gp).max()
+
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_inner_hat_is_the_grid_sum(self, grid16, ws16, rng, components):
+        a = rng.standard_normal((components,) + grid16.shape)
+        b = rng.standard_normal((components,) + grid16.shape)
+        a_hat, b_hat = ws16.forward(a), ws16.forward(b)
+        if components == 1:
+            a_hat, b_hat = a_hat[0], b_hat[0]
+        expect = grid16.n**3 * float(np.sum(a * b))
+        assert ws16.inner_hat(a_hat, b_hat) == pytest.approx(expect, rel=1e-12)
+
+    def test_scale_and_out(self, ws16, rng):
+        v = white_half_spectrum(rng, ws16, 3)
+        plain = ws16.curl_hat(v)
+        out = np.empty_like(plain)
+        assert ws16.curl_hat(v, -0.5j, out=out) is out
+        np.testing.assert_allclose(out, -0.5j * plain, rtol=1e-15, atol=0)
+        scaled = ws16.div_hat(v, -0.5j)
+        np.testing.assert_allclose(scaled, -0.5j * ws16.div_hat(v), rtol=1e-15, atol=0)
