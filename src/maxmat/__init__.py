@@ -40,7 +40,6 @@ from .models import (
     BlochModel,
     LandauLifschitzModel,
     MatterModel,
-    check_structure,
     pack_rho,
     unpack_rho,
 )

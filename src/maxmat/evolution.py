@@ -16,7 +16,9 @@ reads only the coupled 3-vector on the matter voxels. A stage transforms
 just that 3-vector, its inverse for the matter law and the forward
 transform of its source, so a step from a spectral state makes 24 scalar
 3-D transforms in 8 FFT calls (27 from a physical state, whose first
-stage samples it directly), and returns a spectral state. A
+stage samples it directly), and returns a spectral state. The Lawson
+step applies the half-step propagator four times, one of them to a
+3-vector and one computing only the coupled slot. A
 :class:`SimState` holds its field in one form, physical or spectral;
 :func:`run` checks finiteness on the form held and makes a physical view
 only at a step where a monitor, channel or snapshot reads it.
@@ -352,17 +354,24 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     nonlinearity. Matter has no free part, so its stages see the plain
     Runge-Kutta combination.
 
-    The field lives in rfft layout from the first transform to the last,
-    so all six propagator applications and the Runge-Kutta combinations
-    act on spectra, with the half-step phases computed once. A stage
-    needs the field only as the coupled 3-vector that the matter law
-    samples, which each stage inverse-transforms from its argument
+    With P = exp(-(h/2) B / eta), a = P u and c_k the field source of
+    stage k, the step is
+
+        u_{n+1} = P(a + (h/6) P c_1 + (h/3)(c_2 + c_3)) + (h/6) c_4,
+
+    which by the linearity of P is the textbook P^2 u + (h/6)(P^2 c_1 +
+    2 P c_2 + 2 P c_3 + c_4). Stage 4 samples P(a + h c_3) at the coupled
+    slot only. That is four propagator applications, all on spectra with
+    the half-step phases computed once: two of a whole stack, one of a
+    source 3-vector, and one that returns only the coupled slot.
+
+    A stage needs the field only as the coupled 3-vector that the matter
+    law samples, which each stage inverse-transforms from its argument
     (stage 1 of a physical state samples the state itself). Each stage's
-    source is the 3-vector spectrum of the coupled slot, which the
-    propagator takes as it is. From a spectral state that is
-    4*3 + 4*3 = 24 scalar transforms; a physical one adds its 6-component
-    forward transform and saves stage 1's inverse, 27 in all. The result
-    is spectral.
+    source is the 3-vector spectrum of the coupled slot. From a spectral
+    state that is 4*3 + 4*3 = 24 scalar transforms; a physical one adds
+    its 6-component forward transform and saves stage 1's inverse, 27 in
+    all. The result is spectral.
     """
     prop, ws, slot = system.propagator, system.ws, system.slot
     h = dt
@@ -372,30 +381,30 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     def tendency(field_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
         return system.coupled_tendency(ws.inverse(field_hat), w)
 
-    # Each spectrum is released once spent; at 64^3 that lowers a run's
-    # peak memory by about a sixth.
+    def source_hat(f: np.ndarray) -> np.ndarray:
+        return ws.forward(system.source_field(f))
+
     a = prop.apply_hat(state.spectrum(ws), phases)
     f1 = system.coupled_tendency(system.coupled_field(state), v)
-    e_c1 = prop.apply_hat(ws.forward(system.source_field(f1)), phases, slot=slot)
+    e_c1 = prop.apply_hat(source_hat(f1), phases, slot=slot)
     f2 = tendency(a[slot] + 0.5 * h * e_c1[slot], v + 0.5 * h * f1)
-    c2 = ws.forward(system.source_field(f2))
+    c2 = source_hat(f2)
     f3 = tendency(a[slot] + 0.5 * h * c2, v + 0.5 * h * f2)
-    e_a = prop.apply_hat(a, phases)
-    del a
-    e_c3 = prop.apply_hat(ws.forward(system.source_field(f3)), phases, slot=slot)
-    f4 = tendency(e_a[slot] + h * e_c3[slot], v + h * f3)
-
-    acc = prop.apply_hat(e_c1, phases)
+    c3 = source_hat(f3)
+    # Stage 4's argument is built in a itself: a copy of the stack would
+    # raise a 64^3 run's peak memory.
+    a[slot] += h * c3
+    f4 = tendency(prop.apply_hat(a, phases, out_slot=slot), v + h * f3)
+    a[slot] += (h / 3.0) * (c2 - 2.0 * c3)
+    del c2, c3
+    e_c1 *= h / 6.0
+    a += e_c1
     del e_c1
-    acc += 2.0 * prop.apply_hat(c2, phases, slot=slot)
-    del c2
-    acc += 2.0 * e_c3
-    del e_c3
-    acc[slot] += ws.forward(system.source_field(f4))
-    acc *= h / 6.0
-    acc += e_a
+    un = prop.apply_hat(a, phases)
+    del a
+    un[slot] += (h / 6.0) * source_hat(f4)
     vn = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return SimState.spectral(state.t + dt, acc, vn, ws)
+    return SimState.spectral(state.t + dt, un, vn, ws)
 
 
 def step(system: SimSystem, state: SimState, cfg: IntegratorConfig) -> SimState:

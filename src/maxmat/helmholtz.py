@@ -129,6 +129,12 @@ def constraint_residual(
     by the sum of the weighted norms of the two inputs; a zero state has
     residual zero. A compatible initial state keeps this at roundoff for
     all time because the evolution never feeds the curl-free subspace.
+
+    On constant weights the curl-free part of a slot d is grad phi with
+    phi = -div d / |xi|^2 mode by mode, so its squared norm is the
+    Parseval sum of |xi . d|^2 / |xi|^2: one forward transform of the
+    difference (6 scalar transforms) and no gradient field. Variable
+    weights project each slot by PCG and take the norm on the grid.
     """
     scale = weighted_norm(state, coeffs, ws.grid) + weighted_norm(
         matter_shift, coeffs, ws.grid
@@ -136,5 +142,13 @@ def constraint_residual(
     if scale == 0.0:
         return 0.0
     diff = state - matter_shift
-    resid = project_complement_state(diff, coeffs, ws)
-    return weighted_norm(resid, coeffs, ws.grid) / scale
+    if not coeffs.is_constant:
+        resid = project_complement_state(diff, coeffs, ws)
+        return weighted_norm(resid, coeffs, ws.grid) / scale
+    d_hat = ws.hermitian_planes(ws.forward(diff))
+    del diff
+    sq = 0.0
+    for s, kappa in zip((slice(0, 3), slice(3, 6)), coeffs.constant_values()):
+        q = ws.div_hat(d_hat[s])
+        sq += kappa * ws.inner_hat(q, ws.inv_xi_sq * q)
+    return float(np.sqrt(ws.grid.cell_volume / ws.grid.n**3 * sq)) / scale

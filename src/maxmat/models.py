@@ -227,60 +227,3 @@ class BlochModel(MatterModel):
     def source_from_matter(self, w: np.ndarray, kappa_d: np.ndarray) -> np.ndarray:
         return -self.polarization(w) / kappa_d
 
-
-def check_structure(
-    model: MatterModel,
-    rng: np.random.Generator,
-    n_voxels: int = 64,
-    n_samples: int = 8,
-) -> dict[str, float]:
-    """Probe the three structural guarantees on random data.
-
-    Returns worst-case defects: relative affinity error in the field
-    argument, norm of the tendency at v = 0, the signed one-sided growth
-    excess F . v - K |v|^2 (nonpositive up to roundoff when honest),
-    linearity defect of the source map, and sensitivity to the field slot
-    the model is not coupled to (must be zero).
-    """
-    worst = {
-        "affine": 0.0,
-        "zero_state": 0.0,
-        "growth_excess": -np.inf,
-        "source_linear": 0.0,
-        "uncoupled_slot": 0.0,
-    }
-    other = slice(3, 6) if model.em_slot == 1 else slice(0, 3)
-    for _ in range(n_samples):
-        v = rng.standard_normal((model.dim, n_voxels))
-        ua = rng.standard_normal((6, n_voxels))
-        ub = rng.standard_normal((6, n_voxels))
-        a, b = rng.standard_normal(2)
-        f0 = model.eval_F(v, np.zeros_like(ua))
-        lhs = model.eval_F(v, a * ua + b * ub)
-        rhs = a * model.eval_F(v, ua) + b * model.eval_F(v, ub) + (1.0 - a - b) * f0
-        scale = max(float(np.abs(lhs).max()), 1e-30)
-        worst["affine"] = max(worst["affine"], float(np.abs(lhs - rhs).max()) / scale)
-
-        fz = model.eval_F(np.zeros_like(v), ua)
-        worst["zero_state"] = max(worst["zero_state"], float(np.abs(fz).max()))
-
-        f = model.eval_F(v, ua)
-        excess = np.einsum("dm,dm->m", f, v) - model.growth_bound * np.einsum(
-            "dm,dm->m", v, v
-        )
-        worst["growth_excess"] = max(worst["growth_excess"], float(excess.max()))
-
-        perturbed = ua.copy()
-        perturbed[other] = rng.standard_normal((3, n_voxels))
-        df = model.eval_F(v, perturbed) - f
-        fscale = max(float(np.abs(f).max()), 1e-30)
-        worst["uncoupled_slot"] = max(worst["uncoupled_slot"], float(np.abs(df).max()) / fscale)
-
-        kd = 1.0 + rng.random(n_voxels)
-        wa = rng.standard_normal((model.dim, n_voxels))
-        wb = rng.standard_normal((model.dim, n_voxels))
-        slhs = model.source_from_matter(a * wa + b * wb, kd)
-        srhs = a * model.source_from_matter(wa, kd) + b * model.source_from_matter(wb, kd)
-        sscale = max(float(np.abs(slhs).max()), 1e-30)
-        worst["source_linear"] = max(worst["source_linear"], float(np.abs(slhs - srhs).max()) / sscale)
-    return worst

@@ -48,15 +48,8 @@ class FourierWorkspace:
 
     def __init__(self, grid: Grid3):
         self.grid = grid
-        n, d = grid.n, grid.spacing
-        kx = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
-        kz = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)
-        true_sq = (
-            kx.reshape(n, 1, 1) ** 2
-            + kx.reshape(1, n, 1) ** 2
-            + kz.reshape(1, 1, kz.size) ** 2
-        )
-        self.xi_norm_even = np.sqrt(true_sq)
+        n = grid.n
+        kx, kz = self._frequencies()
         kx[n // 2] = 0.0
         kz[-1] = 0.0
         # xi_y and xi_z are (1, n, n/2+1) planes, not 1-D broadcasts: numpy's
@@ -75,6 +68,20 @@ class FourierWorkspace:
         if n % 2 == 0:
             w[..., -1] = 1.0
         self.mode_weights = w
+
+    def _frequencies(self) -> tuple[np.ndarray, np.ndarray]:
+        """Angular frequencies of the full x (and y) axis and of the half z axis."""
+        n, d = self.grid.n, self.grid.spacing
+        return 2.0 * np.pi * np.fft.fftfreq(n, d=d), 2.0 * np.pi * np.fft.rfftfreq(n, d=d)
+
+    @cached_property
+    def xi_norm_even(self) -> np.ndarray:
+        """|xi| with the true Nyquist magnitude, for radial filters; built on first use."""
+        kx, kz = self._frequencies()
+        n = kx.size
+        return np.sqrt(
+            kx.reshape(n, 1, 1) ** 2 + kx.reshape(1, n, 1) ** 2 + kz.reshape(1, 1, kz.size) ** 2
+        )
 
     @cached_property
     def inv_xi_sq(self) -> np.ndarray:
@@ -221,7 +228,11 @@ class FreePropagator:
         return c, (1.0 - c) * inv_sq, (-1j * self.ratio12) * s, (1j * self.ratio21) * s
 
     def apply_hat(
-        self, state_hat: np.ndarray, phases: tuple, slot: slice | None = None
+        self,
+        state_hat: np.ndarray,
+        phases: tuple,
+        slot: slice | None = None,
+        out_slot: slice | None = None,
     ) -> np.ndarray:
         """Propagate a spectral state by exp(-t B), given ``phases(t)``.
 
@@ -230,11 +241,13 @@ class FreePropagator:
 
             c u_a + par xi (xi . u_a) + rot_a xi ^ u_b
 
-        with b the other slot, built from the workspace's div and curl
-        kernels and its xi. Without ``slot`` the input is a (6, ...)
-        stack. With ``slot`` (``slice(0, 3)`` or ``slice(3, 6)``) it is that
-        slot's own (3, ...) spectrum, the other slot being zero, and each
-        output slot gets only the terms that read it.
+        with b the other slot, built by :meth:`_slot_hat` from the
+        workspace's div and curl kernels and its xi. Without ``slot`` the
+        input is a (6, ...) stack. With ``slot`` (``slice(0, 3)`` or
+        ``slice(3, 6)``) it is that slot's own (3, ...) spectrum, the other
+        slot being zero, and each output slot gets only the terms that read
+        it. With ``out_slot`` only that slot of the result is computed and
+        returned as a (3, ...) spectrum.
         """
         if slot is None:
             u1, u2 = state_hat[_SLOT1], state_hat[_SLOT2]
@@ -242,26 +255,42 @@ class FreePropagator:
             u1, u2 = (state_hat, None) if slot == _SLOT1 else (None, state_hat)
         else:
             raise ValueError(f"slot {slot}, shape {state_hat.shape}: expected one EM slot's 3-vector")
+        if out_slot is None:
+            outputs = (_SLOT1, _SLOT2)
+        elif out_slot in (_SLOT1, _SLOT2):
+            outputs = (out_slot,)
+        else:
+            raise ValueError(f"out_slot {out_slot}: expected slice(0, 3) or slice(3, 6)")
         c, par, rot1, rot2 = phases
-        ws = self.ws
-        xi = ws.xi
-        out = np.empty((6,) + state_hat.shape[1:], dtype=state_hat.dtype)
-        for o, u, w, rot in ((out[_SLOT1], u1, u2, rot1), (out[_SLOT2], u2, u1, rot2)):
-            if w is not None:
-                ws.curl_hat(w, -1j, out=o)
-                o *= rot
-            if u is not None:
-                along = ws.div_hat(u, -1j)
-                along *= par
-                # Added component by component: a scratch 3-vector per call
-                # made a loop of 32^3 calls 1.6-2.3x slower (allocator churn).
-                for j in range(3):
-                    if w is None:
-                        np.multiply(c, u[j], out=o[j])
-                    else:
-                        o[j] += c * u[j]
-                    o[j] += xi[j] * along
+        out = np.empty((3 * len(outputs),) + state_hat.shape[1:], dtype=state_hat.dtype)
+        for o, s in zip((out[_SLOT1], out[_SLOT2]), outputs):
+            if s == _SLOT1:
+                self._slot_hat(u1, u2, c, par, rot1, o)
+            else:
+                self._slot_hat(u2, u1, c, par, rot2, o)
         return out
+
+    def _slot_hat(self, u, w, c, par, rot, out: np.ndarray) -> None:
+        """out = c u + par xi (xi . u) + rot xi ^ w for one output slot.
+
+        ``u`` is the slot's own spectrum and ``w`` the other slot's; either
+        may be None for a zero slot, and its terms are skipped.
+        """
+        ws = self.ws
+        if w is not None:
+            ws.curl_hat(w, -1j, out=out)
+            out *= rot
+        if u is not None:
+            along = ws.div_hat(u, -1j)
+            along *= par
+            # Added component by component: a scratch 3-vector per call
+            # made a loop of 32^3 calls 1.6-2.3x slower (allocator churn).
+            for j in range(3):
+                if w is None:
+                    np.multiply(c, u[j], out=out[j])
+                else:
+                    out[j] += c * u[j]
+                out[j] += ws.xi[j] * along
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
         """Propagate a physical (6, n, n, n) state by exp(-t B)."""

@@ -14,6 +14,7 @@ import scipy.linalg
 from maxmat import (
     BlochModel,
     Coefficients,
+    FreePropagator,
     IntegratorConfig,
     LandauLifschitzModel,
     NumericalAbort,
@@ -224,6 +225,27 @@ def test_step_from_spectral_state_makes_24_scalar_transforms(
     step(ll_system, ll_state, cfg)
     assert (len(transforms), sum(transforms)) == (8, 27)
     assert transforms[0] == 6
+
+
+def test_lawson_step_makes_four_propagator_applications(ll_system, ll_state, monkeypatch):
+    # two of a whole stack, one of the stage-1 source (slot in), and stage
+    # 4's sample of the coupled slot (slot out)
+    calls = []
+    original = FreePropagator.apply_hat
+
+    def counting(prop, state_hat, phases, slot=None, out_slot=None):
+        calls.append((state_hat.shape[0], slot is not None, out_slot is not None))
+        return original(prop, state_hat, phases, slot=slot, out_slot=out_slot)
+
+    monkeypatch.setattr(FreePropagator, "apply_hat", counting)
+    ws = ll_system.ws
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-3, scheme="lawson_exp")
+    spectral = SimState.spectral(0.0, ws.forward(ll_state.u), ll_state.v, ws)
+    for state in (ll_state, spectral):
+        calls.clear()
+        step(ll_system, state, cfg)
+        assert sorted(calls) == [(3, True, False), (6, False, False), (6, False, False),
+                                 (6, False, True)]
 
 
 def _held_forms(state):

@@ -310,6 +310,20 @@ class TestFreePropagator:
                 got = prop.apply_hat(uhat[slot], phases, slot=slot)
                 assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
+    @pytest.mark.parametrize("t", [0.37, -1.9])
+    def test_out_slot_is_that_slot_of_the_full_result(self, grid16, ws16, rng, t):
+        co = Coefficients.constant(grid16, 1.3, 0.7)
+        prop = FreePropagator(co, ws16)
+        uhat = ws16.forward(random_state(rng, grid16))
+        phases = prop.phases(t)
+        full = prop.apply_hat(uhat, phases)
+        for slot in (slice(0, 3), slice(3, 6)):
+            got = prop.apply_hat(uhat, phases, out_slot=slot)
+            assert got.shape == (3,) + ws16.spectral_shape
+            np.testing.assert_array_equal(got, full[slot])
+        with pytest.raises(ValueError, match="out_slot"):
+            prop.apply_hat(uhat, phases, out_slot=slice(1, 4))
+
     def test_requires_constant_coefficients(self, grid16, ws16):
         with pytest.raises(ValueError):
             FreePropagator(smooth_coefficients(grid16), ws16)
@@ -324,6 +338,16 @@ class TestMollifier:
         order = np.argsort(r)
         # nondecreasing radius must give nonincreasing symbol
         assert np.all(np.diff(s[order]) <= 1e-12)
+
+    def test_radial_table_is_built_on_first_use(self, grid16):
+        ws = FourierWorkspace(grid16)
+        assert "xi_norm_even" not in vars(ws)
+        MollifierSpec(2).symbol(ws)
+        r = vars(ws)["xi_norm_even"]
+        # the even table keeps the Nyquist magnitude that the odd multipliers drop
+        nyquist = np.pi * grid16.n / grid16.box_len
+        assert r[0, 0, -1] == pytest.approx(nyquist) and ws.xi_sq[0, 0, -1] == 0.0
+        assert r[2, 1, 3] ** 2 == pytest.approx(ws.xi_sq[2, 1, 3], rel=1e-14)
 
     def test_identity_on_low_band(self, grid16, ws16, rng):
         u = band_limited(rng, grid16, kmax=2, components=3)
