@@ -50,7 +50,7 @@ from .grid import (
     matter_l2_norm,
     restrict_to_domain,
 )
-from .helmholtz import constraint_residual, project_P, project_complement
+from .helmholtz import constraint_residual, project_complement
 from .models import MatterModel
 from .spectral import (
     FourierWorkspace,
@@ -272,17 +272,22 @@ def make_initial(
 ) -> SimState:
     """Constraint-consistent state: divergence-free seed plus matter shift.
 
-    u = P(u_free) + (Id - P)(shift of v_init); any curl-free content of
-    the seed is discarded, and the curl-free content demanded by the
-    matter is installed, so the constraint residual starts at solver
-    tolerance.
+    u = shift + P(u_free - shift), that is P(u_free) + (Id - P)(shift of
+    v_init): the seed's curl-free content is replaced by the matter's, so
+    the constraint residual starts at solver tolerance. Without a seed
+    only the coupled slot is projected; P keeps the other one zero.
     """
     v_init = system.matter_state(v_init)
-    # The shift is zero outside the coupled slot, and so is its projection.
-    u = np.zeros((6,) + system.grid.shape)
-    u[system.slot] = project_complement(system.source_field(v_init), system.kappa, system.ws)
-    if u_free is not None:
-        u += project_P(u_free, system.coeffs, system.ws)
+    shape = (6,) + system.grid.shape
+    if u_free is not None and np.shape(u_free) != shape:
+        raise ValueError(f"u_free must have shape {shape}, got {np.shape(u_free)}")
+    u = np.zeros(shape) if u_free is None else np.array(u_free, dtype=float)
+    shift = system.source_field(v_init)
+    u[system.slot] -= shift
+    for s, kappa in ((slice(0, 3), system.coeffs.kappa1), (slice(3, 6), system.coeffs.kappa2)):
+        if u_free is not None or s == system.slot:
+            u[s] -= project_complement(u[s], kappa, system.ws)
+    u[system.slot] += shift
     return SimState(t=0.0, u=u, v=v_init.copy())
 
 

@@ -2,21 +2,24 @@
 
 For a positive weight k the splitting writes v = (v - grad phi) + grad phi
 with div(k (v - grad phi)) = 0; the two parts are orthogonal in the
-k-weighted inner product. Constant weights reduce to a pure Fourier
-multiplier; variable weights need an elliptic solve, done here by
-preconditioned conjugate gradients with the constant-coefficient inverse
-Laplacian as preconditioner, to the relative residual ``PCG_RTOL``
-within ``PCG_MAX_ITER`` iterations.
+k-weighted inner product. One solve, :func:`_potential_hat`, returns phi
+from the half-spectrum of b = -div(k v): the projector takes grad phi,
+and the constraint monitor its squared weighted norm, <b, phi> by parts,
+with no gradient field. Only the solve tells the weight classes apart. A
+constant weight is the multiplier b / (k |xi|^2); a variable one needs
+preconditioned conjugate gradients, with the constant-coefficient
+inverse Laplacian as preconditioner, to the relative residual
+``PCG_RTOL`` within ``PCG_MAX_ITER`` iterations.
 
 The CG iterates are half-spectra (rfft layout). The preconditioner is
 then the multiplier 1/|xi|^2, inner products and norms are Parseval
 sums, and an iteration makes 6 scalar transforms: the gradient of the
 search direction back to physical space, where the weight multiplies
-it, and forward again for the divergence. A solve of k iterations makes
-6k + 6 in 2k + 2 calls. The kz = 0 and kz = Nyquist planes of the source
-and of every operator output are made exactly Hermitian, as they are for
-a real field; otherwise the preconditioner and the Parseval sums would
-carry the roundoff residue that the inverse transform drops, and a
+it, and forward again for the divergence. A projection of k iterations
+makes 6k + 6 in 2k + 2 calls. The kz = 0 and kz = Nyquist planes of the
+source and of every operator output are made exactly Hermitian, as they
+are for a real field; otherwise the preconditioner and the Parseval sums
+would carry the roundoff residue that the inverse transform drops, and a
 source at roundoff would make PCG diverge.
 
 Constant fields carry no gradient content on the torus, so the zero mode
@@ -39,11 +42,7 @@ class ProjectionSolveError(RuntimeError):
     """The elliptic solve behind the projector did not reach tolerance."""
 
 
-def project_complement(
-    v: np.ndarray,
-    kappa: np.ndarray,
-    ws: FourierWorkspace,
-) -> np.ndarray:
+def project_complement(v: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
     """Gradient (curl-free) part of ``v`` in the kappa-weighted splitting.
 
     Solves -div(kappa grad phi) = -div(kappa v) with mean-zero gauge and
@@ -52,22 +51,27 @@ def project_complement(
     if v.shape != (3,) + ws.grid.shape:
         raise ValueError(f"expected a 3-vector field on {ws.grid.shape}, got {v.shape}")
     require_same_grid(v, kappa)
+    b = ws.hermitian_planes(ws.div_hat(ws.forward(kappa * v), -1.0))
+    return ws.inverse(ws.grad_hat(_potential_hat(b, kappa, ws)))
 
+
+def _potential_hat(b: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
+    """Half-spectrum of the mean-zero phi with -div(kappa grad phi) = b.
+
+    ``b`` has exactly Hermitian kz = 0 and Nyquist planes. Raises
+    :class:`ProjectionSolveError` if PCG stalls."""
     if float(np.ptp(kappa)) == 0.0:
-        # Constant weight: phi = -div v / |xi|^2 mode by mode.
-        return ws.inverse(ws.grad_hat(ws.inv_xi_sq * ws.div_hat(ws.forward(v), -1.0)))
+        return ws.inv_xi_sq * b / float(kappa.flat[0])
 
     # PCG on half-spectra. xi vanishes at the zero mode, so every iterate
     # has zero mean and the gauge needs no step of its own.
     def neg_div(w: np.ndarray) -> np.ndarray:
         return ws.hermitian_planes(ws.div_hat(ws.forward(kappa * w), -1.0))
 
-    b = neg_div(v)
     bnorm = np.sqrt(ws.inner_hat(b, b))
-    if bnorm == 0.0:
-        return np.zeros_like(v)
-
     phi = np.zeros_like(b)
+    if bnorm == 0.0:
+        return phi
     r = b.copy()
     z = ws.inv_xi_sq * r
     p = z.copy()
@@ -81,7 +85,7 @@ def project_complement(
         phi += alpha * p
         r -= alpha * Ap
         if np.sqrt(ws.inner_hat(r, r)) <= PCG_RTOL * bnorm:
-            return ws.inverse(ws.grad_hat(phi))
+            return phi
         z = ws.inv_xi_sq * r
         rz_new = ws.inner_hat(r, z)
         p = z + (rz_new / rz) * p
@@ -92,19 +96,13 @@ def project_complement(
     )
 
 
-def project_P(
-    state: np.ndarray,
-    coeffs: Coefficients,
-    ws: FourierWorkspace,
-) -> np.ndarray:
+def project_P(state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np.ndarray:
     """Divergence-free part of an EM state, slot by slot in its own weight."""
     return state - project_complement_state(state, coeffs, ws)
 
 
 def project_complement_state(
-    state: np.ndarray,
-    coeffs: Coefficients,
-    ws: FourierWorkspace,
+    state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace
 ) -> np.ndarray:
     """Curl-free part of an EM state, slot by slot in its own weight."""
     if state.shape != (6,) + ws.grid.shape:
@@ -116,10 +114,7 @@ def project_complement_state(
 
 
 def constraint_residual(
-    state: np.ndarray,
-    matter_shift: np.ndarray,
-    coeffs: Coefficients,
-    ws: FourierWorkspace,
+    state: np.ndarray, matter_shift: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace
 ) -> float:
     """Relative curl-free content of (state - matter_shift).
 
@@ -130,25 +125,22 @@ def constraint_residual(
     residual zero. A compatible initial state keeps this at roundoff for
     all time because the evolution never feeds the curl-free subspace.
 
-    On constant weights the curl-free part of a slot d is grad phi with
-    phi = -div d / |xi|^2 mode by mode, so its squared norm is the
-    Parseval sum of |xi . d|^2 / |xi|^2: one forward transform of the
-    difference (6 scalar transforms) and no gradient field. Variable
-    weights project each slot by PCG and take the norm on the grid.
+    The curl-free part of a slot d is grad phi with -div(k grad phi) =
+    b = -div(k d), so its squared weighted norm is <b, phi>: one forward
+    transform of the weighted difference (6 scalar transforms), then per
+    slot the potential solve and a Parseval sum, and no gradient field.
     """
-    scale = weighted_norm(state, coeffs, ws.grid) + weighted_norm(
-        matter_shift, coeffs, ws.grid
-    )
+    scale = weighted_norm(state, coeffs, ws.grid) + weighted_norm(matter_shift, coeffs, ws.grid)
     if scale == 0.0:
         return 0.0
-    diff = state - matter_shift
-    if not coeffs.is_constant:
-        resid = project_complement_state(diff, coeffs, ws)
-        return weighted_norm(resid, coeffs, ws.grid) / scale
-    d_hat = ws.hermitian_planes(ws.forward(diff))
-    del diff
+    weighted = state - matter_shift
+    slots = ((slice(0, 3), coeffs.kappa1), (slice(3, 6), coeffs.kappa2))
+    for s, kappa in slots:
+        weighted[s] *= kappa
+    w_hat = ws.forward(weighted)
+    del weighted
     sq = 0.0
-    for s, kappa in zip((slice(0, 3), slice(3, 6)), coeffs.constant_values()):
-        q = ws.div_hat(d_hat[s])
-        sq += kappa * ws.inner_hat(q, ws.inv_xi_sq * q)
-    return float(np.sqrt(ws.grid.cell_volume / ws.grid.n**3 * sq)) / scale
+    for s, kappa in slots:
+        b = ws.hermitian_planes(ws.div_hat(w_hat[s], -1.0))
+        sq += ws.inner_hat(b, _potential_hat(b, kappa, ws))
+    return float(np.sqrt(max(ws.grid.cell_volume / ws.grid.n**3 * sq, 0.0))) / scale

@@ -200,8 +200,8 @@ class FreePropagator:
     with khat = xi / |xi| and u_par = khat (khat . u).
 
     The zero mode has w = 0 and is preserved exactly. The map is unitary
-    in the weighted norm. The object holds only constants, so copies of a
-    system with another eta may share it across threads.
+    in the weighted norm. The object holds constants and the last phases,
+    so copies of a system with another eta may share it across threads.
     """
 
     def __init__(self, coeffs: Coefficients, ws: FourierWorkspace):
@@ -212,6 +212,7 @@ class FreePropagator:
         self.omega = np.sqrt(ws.xi_sq) / np.sqrt(k1 * k2)
         self.ratio12 = np.sqrt(k2 / k1)
         self.ratio21 = np.sqrt(k1 / k2)
+        self._last_phases = None
 
     def phases(self, t: float) -> tuple[np.ndarray, ...]:
         """Per-mode factors of exp(-t B), for :meth:`apply_hat`.
@@ -220,12 +221,18 @@ class FreePropagator:
         -i sin(wt) sqrt(k2/k1) / |xi| and +i sin(wt) sqrt(k1/k2) / |xi| of
         the two slots, all but the first zero at the zero mode. Dividing by
         |xi| here lets :meth:`apply_hat` use xi itself in place of the unit
-        wavevector. Compute them once per time and reuse them for every
-        application over that time.
+        wavevector. The factors of the last t asked for are kept, so a run
+        at a fixed step computes them once; they are read-only.
         """
-        wt, inv_sq = self.omega * t, self.ws.inv_xi_sq
-        c, s = np.cos(wt), np.sin(wt) * np.sqrt(inv_sq)
-        return c, (1.0 - c) * inv_sq, (-1j * self.ratio12) * s, (1j * self.ratio21) * s
+        last = self._last_phases  # read once: threads sharing the propagator may replace it
+        if last is None or last[0] != t:
+            wt, inv_sq = self.omega * t, self.ws.inv_xi_sq
+            c, s = np.cos(wt), np.sin(wt) * np.sqrt(inv_sq)
+            last = (t, (c, (1.0 - c) * inv_sq, (-1j * self.ratio12) * s, (1j * self.ratio21) * s))
+            for f in last[1]:
+                f.flags.writeable = False  # every caller at this t shares them
+            self._last_phases = last
+        return last[1]
 
     def apply_hat(
         self,

@@ -135,6 +135,28 @@ def test_standard_monitors_ll(ll_system, ll_state):
     assert vals["v_sup"] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_ll_monitor_sample_makes_one_eval_F(ll_system, ll_state, monkeypatch):
+    # the energy and dissipation_rate columns each compute only their own
+    # quantity, and the bytes of ll_energy's pair
+    from maxmat import LandauLifschitzModel
+
+    calls = []
+    original = LandauLifschitzModel.eval_F
+
+    def counting(model, v, em):
+        calls.append(v.shape)
+        return original(model, v, em)
+
+    monkeypatch.setattr(LandauLifschitzModel, "eval_F", counting)
+    mons = standard_monitors(ll_system, ll_state.v)
+    row = {k: float(fn(ll_system, ll_state)) for k, fn in mons.items()}
+    assert len(calls) == 1
+    energy, rate = ll_energy(ll_system, ll_state)
+    assert rate > 0.0
+    assert row["energy"].hex() == energy.hex()
+    assert row["dissipation_rate"].hex() == rate.hex()
+
+
 def test_standard_monitors_bloch(grid16):
     from maxmat import BlochModel, Coefficients, SimState, SimSystem, box_mask, pack_rho
 

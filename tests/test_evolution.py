@@ -111,6 +111,49 @@ def test_make_initial_projects_only_the_coupled_slot(ll_system, monkeypatch):
     assert ll_system.constraint_residual(state) < 1e-12
 
 
+@pytest.mark.parametrize("coupled", ["ll", "bloch"])
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+def test_make_initial_with_seed_is_one_projection_per_slot(grid16, rng, monkeypatch, variable, coupled):
+    # u = shift + P(u_free - shift): one projection per slot, and the same
+    # state as P(u_free) + (Id - P)(shift) for either coupled slot
+    import maxmat.evolution as evolution
+    from maxmat import pack_rho, project_P, project_complement_state
+
+    co = smooth_coefficients(grid16) if variable else Coefficients.constant(grid16, 2.0, 0.5)
+    w = 2 * grid16.spacing
+    dom = box_mask(grid16, (0.5, 0.5, 0.5), (w, w, w))
+    if coupled == "ll":
+        model = LandauLifschitzModel(gyro=4.0, damping=0.2, h_ext=(0, 0, 1.0))
+        v0 = tilted_magnetization(dom)
+    else:
+        d = np.zeros((3, 2, 2), dtype=complex)
+        d[:, 0, 1] = d[:, 1, 0] = 1.0
+        model = BlochModel(levels=(0.0, 1.0), dipole=d)
+        v0 = pack_rho(np.full((2, 2, dom.count), 0.5, dtype=complex))
+    sys_ = SimSystem(grid16, co, dom, model)
+    seed = rng.standard_normal((6,) + grid16.shape)
+    calls = []
+    original = evolution.project_complement
+
+    def counting(v, kappa, ws):
+        calls.append(kappa)
+        return original(v, kappa, ws)
+
+    monkeypatch.setattr(evolution, "project_complement", counting)
+    state = make_initial(sys_, v0, u_free=seed)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert calls[0] is co.kappa1 and calls[1] is co.kappa2
+    shift = sys_.matter_to_field(v0)
+    assert np.abs(shift).max() > 0.1
+    expect = project_P(seed, co, sys_.ws) + project_complement_state(shift, co, sys_.ws)
+    rel = 1e-10 if variable else 1e-12
+    assert np.abs(state.u - expect).max() <= rel * np.abs(expect).max()
+    assert sys_.constraint_residual(state) < rel
+    with pytest.raises(ValueError, match="u_free"):
+        make_initial(sys_, v0, u_free=seed[:, None])
+
+
 def reference_lawson_step(system, state, h):
     """The Lawson(RK4) step in physical form: each of its six propagator
     applications transforms a whole 6-component state there and back."""
@@ -248,6 +291,35 @@ def test_lawson_step_makes_four_propagator_applications(ll_system, ll_state, mon
                                  (6, False, True)]
 
 
+def test_lawson_run_computes_half_step_phases_once(ll_system, ll_state, monkeypatch):
+    # dt/(2 eta) is the same at every step: the propagator keeps the last
+    # factors, and a new t replaces them
+    returned = []
+    original = FreePropagator.phases
+
+    def recording(prop, t):
+        out = original(prop, t)
+        returned.append((t, out))
+        return out
+
+    monkeypatch.setattr(FreePropagator, "phases", recording)
+    cfg = IntegratorConfig(dt=1e-3, t_end=4e-3, scheme="lawson_exp")
+    run(ll_system, ll_state, cfg)
+    assert len(returned) == 4
+    half, first = returned[0]
+    assert half == 0.5e-3 and all(t == half and out is first for t, out in returned)
+    prop = ll_system.propagator
+    other = prop.phases(0.37)
+    assert other is not first
+    np.testing.assert_array_equal(other[0], np.cos(prop.omega * 0.37))
+    again = prop.phases(half)
+    assert again is not first and again is prop.phases(half)
+    for a, b in zip(again, first):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError):
+        again[2][0, 0, 1] = 0.0
+
+
 def _held_forms(state):
     return [name for name in ("_u", "u_hat") if getattr(state, name) is not None]
 
@@ -350,8 +422,10 @@ def test_nan_in_spectral_state_aborts_at_same_step(scheme, grid16):
 
 def test_variable_projection_transform_counts(monkeypatch):
     # ll_smooth: make_initial is one 11-iteration solve (6k + 6 = 72 scalar
-    # transforms in 2k + 2 = 24 calls); the first constraint sample adds the
-    # forward transform of the still-zero second slot
+    # transforms in 2k + 2 = 24 calls). The first constraint sample is one
+    # forward transform of the weighted 6-component difference and the same
+    # solve without the gradient's inverse (6 + 6k in 1 + 2k calls); the
+    # still-zero second slot costs no transform.
     scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "ll_smooth.yaml")
     sys_ = scn.build_system()
     transforms = count_transforms(monkeypatch)
@@ -359,7 +433,7 @@ def test_variable_projection_transform_counts(monkeypatch):
     assert (len(transforms), sum(transforms)) == (24, 72)
     transforms.clear()
     assert sys_.constraint_residual(state) < 1e-12
-    assert (len(transforms), sum(transforms)) == (25, 75)
+    assert (len(transforms), sum(transforms)) == (23, 72)
 
 
 def test_propagator_built_once_per_system(ll_system, ll_state, monkeypatch):
