@@ -13,10 +13,13 @@ the exact free propagator to the stiff skew part and RK4 to the rest
 With constant coefficients both steppers keep the field in rfft layout:
 B and the free propagator are per-mode multipliers, and the matter law
 reads only the coupled 3-vector on the matter voxels. A stage transforms
-just that 3-vector, its inverse for the matter law and the forward
-transform of its source, so a step from a spectral state makes 24 scalar
-3-D transforms in 8 FFT calls (27 from a physical state, whose first
-stage samples it directly), and returns a spectral state. The Lawson
+just that 3-vector, and only over the domain's bounding box: its inverse
+on the box for the matter law, and the forward transform of its source
+from a box-sized block (:meth:`SimSystem.sample_hat`,
+:meth:`SimSystem.source_hat`). So a step from a spectral state makes 24
+scalar 3-D transforms in 8 FFT calls, all of them box transforms (27
+from a physical state: its 6-component whole-grid forward transform, and
+its first stage samples it directly), and returns a spectral state. The Lawson
 step applies the half-step propagator four times, one of them to a
 3-vector and one computing only the coupled slot. A
 :class:`SimState` holds its field in one form, physical or spectral;
@@ -158,7 +161,10 @@ class SimSystem:
     ``eta`` scales the skew part as -(1/eta) B u; eta = 1 recovers the
     plain system. Construction wires the Fourier workspace, the coupled
     EM slot ``slot`` and its coefficient field ``kappa``, and the
-    restriction ``kappa_d`` of that field to the domain voxels.
+    restriction ``kappa_d`` of that field to the domain voxels. The
+    matter-side transforms of the spectral paths run over the domain's
+    bounding box only (:meth:`sample_hat`, :meth:`source_hat`); whole-field
+    users keep the workspace's ``forward`` and ``inverse``.
     """
 
     def __init__(
@@ -197,6 +203,22 @@ class SimSystem:
         """Weighted coupling of a matter array as a coupled-slot field, zero off the domain."""
         return extend_by_zero(self.model.source_from_matter(w, self.kappa_d), self.domain)
 
+    def source_block(self, w: np.ndarray) -> np.ndarray:
+        """:meth:`source_field` on the domain's bounding box only, (3, *box shape)."""
+        block = np.zeros((3,) + self.domain.cropped_mask.shape)
+        block[:, self.domain.cropped_mask] = self.model.source_from_matter(w, self.kappa_d)
+        return block
+
+    def source_hat(self, w: np.ndarray) -> np.ndarray:
+        """Half-spectrum of :meth:`source_field`, transformed from the box alone."""
+        return self.ws.forward_box(self.source_block(w), self.domain.box)
+
+    def sample_hat(self, field_hat: np.ndarray) -> np.ndarray:
+        """The (3, m) domain-voxel sample of a coupled-slot field given its
+        half-spectrum, inverse-transformed on the box alone."""
+        on_box = self.ws.inverse_box(field_hat, self.domain.box)
+        return on_box[:, self.domain.cropped_mask]
+
     def matter_to_field(self, w: np.ndarray) -> np.ndarray:
         """:meth:`source_field` placed into an otherwise zero EM stack.
 
@@ -208,17 +230,17 @@ class SimSystem:
         out[self.slot] = self.source_field(w)
         return out
 
-    def coupled_tendency(self, field: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Matter tendency at the coupled slot's (3, n, n, n) ``field``.
+    def coupled_tendency(self, sample: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Matter tendency at the coupled slot's (3, m) domain-voxel ``sample``.
 
         The model reads no other slot, so the sample it sees is zero there.
         """
         em = np.zeros((6, self.domain.count))
-        em[self.slot] = restrict_to_domain(field, self.domain)
+        em[self.slot] = sample
         return self.model.eval_F(v, em)
 
     def matter_tendency(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.coupled_tendency(u[self.slot], v)
+        return self.coupled_tendency(restrict_to_domain(u[self.slot], self.domain), v)
 
     def tendencies(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f = self.matter_tendency(u, v)
@@ -234,24 +256,25 @@ class SimSystem:
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`tendencies` with the field in rfft layout; constant coefficients only.
 
-        Only the coupled slot is transformed: its inverse for the matter
-        law, unless the caller passes it as ``field``, and the forward
-        transform of the field source it feeds.
+        Only the coupled slot is transformed, and only over the domain's
+        bounding box: its inverse for the matter law, unless the caller
+        passes the (3, m) sample as ``field``, and the forward transform
+        of the field source it feeds.
         """
         if field is None:
-            field = self.ws.inverse(u_hat[self.slot])
+            field = self.sample_hat(u_hat[self.slot])
         f = self.coupled_tendency(field, v)
         du = apply_B_hat(u_hat, self.coeffs, self.ws)
         du *= -1.0 / self.eta
-        du[self.slot] += self.ws.forward(self.source_field(f))
+        du[self.slot] += self.source_hat(f)
         return du, f
 
     def coupled_field(self, state: "SimState") -> np.ndarray:
-        """The coupled slot of the state's field in physical space: a view of
-        a physical field, or the inverse transform of that slot's spectrum."""
+        """The coupled slot of the state's field on the domain voxels, (3, m):
+        read off a physical field, or sampled from that slot's spectrum."""
         if state.u_hat is None:
-            return state.u[self.slot]
-        return self.ws.inverse(state.u_hat[self.slot])
+            return restrict_to_domain(state.u[self.slot], self.domain)
+        return self.sample_hat(state.u_hat[self.slot])
 
     def constraint_residual(self, state: SimState) -> float:
         return constraint_residual(state.u, self.matter_to_field(state.v), self.coeffs, self.ws)
@@ -337,11 +360,12 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
 
     With constant coefficients B is a per-mode multiplier, so the stages
     run on the rfft-layout field and a stage transforms only the coupled
-    3-vector (:meth:`SimSystem.tendencies_hat`): 4 * (3 + 3) = 24 scalar
+    3-vector over the domain's bounding box
+    (:meth:`SimSystem.tendencies_hat`): 4 * (3 + 3) = 24 scalar box
     transforms from a spectral state. A physical state adds its
-    6-component forward transform, and stage 1 samples it without an
-    inverse: 27. The result is spectral. Variable coefficients step in
-    physical space.
+    6-component whole-grid forward transform, and stage 1 samples it
+    without an inverse: 27. The result is spectral. Variable coefficients
+    step in physical space.
     """
     if not system.coeffs.is_constant:
         un, vn = _rk4(system.tendencies, (state.u, state.v), dt)
@@ -371,12 +395,15 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     source 3-vector, and one that returns only the coupled slot.
 
     A stage needs the field only as the coupled 3-vector that the matter
-    law samples, which each stage inverse-transforms from its argument
-    (stage 1 of a physical state samples the state itself). Each stage's
-    source is the 3-vector spectrum of the coupled slot. From a spectral
-    state that is 4*3 + 4*3 = 24 scalar transforms; a physical one adds
-    its 6-component forward transform and saves stage 1's inverse, 27 in
-    all. The result is spectral.
+    law samples on the domain, which each stage inverse-transforms on the
+    domain's bounding box from its argument (stage 1 of a physical state
+    samples the state itself); stage 4's argument is the coupled slot
+    that the ``out_slot`` application returns. Each stage's source is the
+    3-vector spectrum of the coupled slot, forward-transformed from a
+    box-sized block. From a spectral state that is 4*3 + 4*3 = 24 scalar
+    box transforms; a physical one adds its 6-component whole-grid
+    forward transform and saves stage 1's inverse, 27 in all. The result
+    is spectral.
     """
     prop, ws, slot = system.propagator, system.ws, system.slot
     h = dt
@@ -384,18 +411,15 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     v = state.v
 
     def tendency(field_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return system.coupled_tendency(ws.inverse(field_hat), w)
-
-    def source_hat(f: np.ndarray) -> np.ndarray:
-        return ws.forward(system.source_field(f))
+        return system.coupled_tendency(system.sample_hat(field_hat), w)
 
     a = prop.apply_hat(state.spectrum(ws), phases)
     f1 = system.coupled_tendency(system.coupled_field(state), v)
-    e_c1 = prop.apply_hat(source_hat(f1), phases, slot=slot)
+    e_c1 = prop.apply_hat(system.source_hat(f1), phases, slot=slot)
     f2 = tendency(a[slot] + 0.5 * h * e_c1[slot], v + 0.5 * h * f1)
-    c2 = source_hat(f2)
+    c2 = system.source_hat(f2)
     f3 = tendency(a[slot] + 0.5 * h * c2, v + 0.5 * h * f2)
-    c3 = source_hat(f3)
+    c3 = system.source_hat(f3)
     # Stage 4's argument is built in a itself: a copy of the stack would
     # raise a 64^3 run's peak memory.
     a[slot] += h * c3
@@ -407,7 +431,7 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     del e_c1
     un = prop.apply_hat(a, phases)
     del a
-    un[slot] += (h / 6.0) * source_hat(f4)
+    un[slot] += (h / 6.0) * system.source_hat(f4)
     vn = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     return SimState.spectral(state.t + dt, un, vn, ws)
 
@@ -598,12 +622,12 @@ def mollified_fixed_point(
     floor = 5e-14 * scale
 
     # The matter law reads only the coupled slot of R u, and the source
-    # lives only there: each node transforms two 3-vectors. Returns
-    # exp(+t_j B) of node j's source, and its matter tendency.
+    # lives only there: each node transforms two 3-vectors, both over the
+    # domain's bounding box. Returns exp(+t_j B) of node j's source, and
+    # its matter tendency.
     def phased_source(j: int, u_hat_j: np.ndarray, v_j: np.ndarray) -> tuple:
-        f = system.coupled_tendency(ws.inverse(symbol * u_hat_j[slot]), v_j)
-        g_hat = ws.forward(system.source_field(f))
-        return prop.apply_hat(g_hat, back_phases(j), slot=slot), f
+        f = system.coupled_tendency(system.sample_hat(symbol * u_hat_j[slot]), v_j)
+        return prop.apply_hat(system.source_hat(f), back_phases(j), slot=slot), f
 
     distances: list[float] = []
     for it in range(1, cfg.max_iter + 1):

@@ -130,7 +130,10 @@ class DomainMask:
     """Boolean voxel mask for the matter domain.
 
     The mask must be nonempty and keep a margin of at least n/8 cells to
-    every face of the periodic box.
+    every face of the periodic box, so its bounding box ``box`` (three
+    slices) spans at most 3n/4 cells per axis. ``cropped_mask`` is the
+    mask cropped to that box; it lists the domain voxels in the same
+    order as ``mask``.
     """
 
     def __init__(self, mask: np.ndarray, grid: Grid3):
@@ -150,6 +153,8 @@ class DomainMask:
         self.mask = mask
         self.grid = grid
         self.count = int(mask.sum())
+        self.box = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        self.cropped_mask = mask[self.box]
 
     def coordinates(self) -> np.ndarray:
         """Cell-center coordinates of the masked voxels, shape (3, m)."""

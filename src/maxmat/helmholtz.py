@@ -5,11 +5,12 @@ with div(k (v - grad phi)) = 0; the two parts are orthogonal in the
 k-weighted inner product. One solve, :func:`_potential_hat`, returns phi
 from the half-spectrum of b = -div(k v): the projector takes grad phi,
 and the constraint monitor its squared weighted norm, <b, phi> by parts,
-with no gradient field. Only the solve tells the weight classes apart. A
-constant weight is the multiplier b / (k |xi|^2); a variable one needs
-preconditioned conjugate gradients, with the constant-coefficient
-inverse Laplacian as preconditioner, to the relative residual
-``PCG_RTOL`` within ``PCG_MAX_ITER`` iterations.
+with no gradient field. Only the solve tells the weight classes apart,
+except that the projector folds a constant weight into the scale of the
+divergence instead of forming k v. A constant weight is the multiplier
+b / (k |xi|^2); a variable one needs preconditioned conjugate gradients,
+with the constant-coefficient inverse Laplacian as preconditioner, to
+the relative residual ``PCG_RTOL`` within ``PCG_MAX_ITER`` iterations.
 
 The CG iterates are half-spectra (rfft layout). The preconditioner is
 then the multiplier 1/|xi|^2, inner products and norms are Parseval
@@ -51,7 +52,13 @@ def project_complement(v: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -
     if v.shape != (3,) + ws.grid.shape:
         raise ValueError(f"expected a 3-vector field on {ws.grid.shape}, got {v.shape}")
     require_same_grid(v, kappa)
-    b = ws.hermitian_planes(ws.div_hat(ws.forward(kappa * v), -1.0))
+    # A constant weight is a scale on the divergence: no kappa * v temporary.
+    # Neither spectrum is named, so it is freed before the solve runs.
+    if float(np.ptp(kappa)) == 0.0:
+        b = ws.div_hat(ws.forward(v), -float(kappa.flat[0]))
+    else:
+        b = ws.div_hat(ws.forward(kappa * v), -1.0)
+    ws.hermitian_planes(b)
     return ws.inverse(ws.grad_hat(_potential_hat(b, kappa, ws)))
 
 

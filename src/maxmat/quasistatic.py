@@ -39,7 +39,7 @@ from .evolution import (
     run,
 )
 from .grid import ball_indicator, matter_l2_norm
-from .helmholtz import project_complement, project_P
+from .helmholtz import _potential_hat, project_complement, project_P
 
 
 def with_eta(system: SimSystem, eta: float) -> SimSystem:
@@ -65,8 +65,19 @@ def slaved_field(system: SimSystem, v: np.ndarray) -> np.ndarray:
 
 
 def reduced_rhs(system: SimSystem, v: np.ndarray) -> np.ndarray:
-    """Matter tendency with the field closed over the matter state."""
-    return system.coupled_tendency(slaved_field(system, v), v)
+    """Matter tendency with the field closed over the matter state.
+
+    The field is :func:`slaved_field` sampled on the domain, with both of
+    its transforms over the domain's bounding box: b = -div(kappa shift)
+    from the forward transform of the kappa-weighted source block, and the
+    gradient of the potential inverse-transformed on the box alone.
+    """
+    ws, box = system.ws, system.domain.box
+    block = system.source_block(v)
+    block *= system.kappa[box]
+    b = ws.hermitian_planes(ws.div_hat(ws.forward_box(block, box), -1.0))
+    field = system.sample_hat(ws.grad_hat(_potential_hat(b, system.kappa, ws)))
+    return system.coupled_tendency(field, v)
 
 
 @dataclass

@@ -7,6 +7,14 @@ operation in the package; all multipliers are cached per workspace.
 Curl, B, the propagator and the projector are built from the four per-mode
 kernels of :class:`FourierWorkspace` (``div_hat``, ``grad_hat``,
 ``curl_hat``, ``inner_hat``), so only this module knows the rfft layout.
+
+Matter lives on a sub-box of the grid, so the workspace also has a pruned
+pair for fields supported on, or read on, a box of three slices:
+``forward_box`` transforms a box-sized block as if zero-extended and skips
+the lines that are all zero, bit-identical to ``forward``; ``inverse_box``
+returns the field on the box only, equal to ``inverse`` to roundoff. Both
+make one scalar transform per leading component in the package's
+transform counts.
 """
 
 from __future__ import annotations
@@ -94,6 +102,47 @@ class FourierWorkspace:
 
     def inverse(self, spectra: np.ndarray) -> np.ndarray:
         return scipy.fft.irfftn(spectra, s=self.grid.shape, axes=(-3, -2, -1))
+
+    def forward_box(self, block: np.ndarray, box: tuple[slice, slice, slice]) -> np.ndarray:
+        """:meth:`forward` of the field equal to ``block`` on ``box`` and zero elsewhere.
+
+        ``box`` is three slices; leading axes of ``block`` are batched. The
+        passes run in rfftn's order, z, x, y, and skip the lines that are
+        all zero: rfft along z on the box's x-y lines, fft along x on the
+        box's y rows, fft along y on all lines. Each line computed is one
+        that rfftn computes, so the result is bit-identical to
+        ``forward`` of the zero-extended field.
+        """
+        bx, by, bz = box
+        if block.shape[-3:] != tuple(len(range(self.grid.n)[s]) for s in box):
+            raise ValueError(f"block shape {block.shape} does not match the box {box}")
+        out = np.zeros(block.shape[:-3] + self.spectral_shape, dtype=complex)
+        # The zero-padded z lines live in the output's own memory, which their
+        # spectra then overwrite: a separate padded array made the largest
+        # box (48 of 64 per axis) slower than the whole-grid transform.
+        lines = out.view(float)[..., bx, by, : self.grid.n]
+        lines[..., bz] = block
+        out[..., bx, by, :] = scipy.fft.rfft(lines, axis=-1)
+        rows = out[..., by, :]
+        done = scipy.fft.fft(rows, axis=-3, overwrite_x=True)
+        if not np.may_share_memory(done, rows):  # overwrite_x allows, not promises, in place
+            rows[...] = done
+        return scipy.fft.fft(out, axis=-2, overwrite_x=True)
+
+    def inverse_box(self, spectra: np.ndarray, box: tuple[slice, slice, slice]) -> np.ndarray:
+        """:meth:`inverse` on ``box`` only; ``spectra`` is left as it was.
+
+        The passes run y, x, z: ifft along y on all lines, along x on the
+        box's y rows, irfft along z on the box's x-y lines. irfftn runs x
+        before y, so the two agree to roundoff, not bitwise. Running x
+        first would be bit-identical but is slower: at 64^3, 9.5 against
+        5.8 ms on a 16^3 box and 13.2 against 9.1 ms on a 48^3 box, for a
+        3-vector on a 2-core x86-64 guest with scipy 1.17.
+        """
+        bx, by, bz = box
+        rows = scipy.fft.ifft(spectra, axis=-2)[..., by, :]
+        lines = scipy.fft.ifft(rows, axis=-3, overwrite_x=True)[..., bx, :, :]
+        return scipy.fft.irfft(lines, n=self.grid.n, axis=-1, overwrite_x=True)[..., bz]
 
     def hermitian_planes(self, spectra: np.ndarray) -> np.ndarray:
         """Symmetrise the kz = 0 and kz = Nyquist planes in place; returns ``spectra``.

@@ -44,17 +44,27 @@ def random_state(rng, grid, components=6):
     return rng.standard_normal((components,) + grid.shape)
 
 
-def count_transforms(monkeypatch):
-    """Patch FourierWorkspace.forward/inverse to record the number of scalar
-    transforms of each call; returns the (live) list of counts."""
+BOX_TRANSFORMS = ("forward_box", "inverse_box")
+
+
+def count_transforms(monkeypatch, names=("forward", "inverse") + BOX_TRANSFORMS):
+    """Patch the named FourierWorkspace transforms to record the number of
+    scalar transforms of each call; returns the (live) list of counts.
+
+    A box transform counts one scalar transform per leading component, as
+    the whole-grid transform it stands for does.
+    """
     transforms = []
-    for name in ("forward", "inverse"):
+    for name in names:
         original = getattr(FourierWorkspace, name)
 
-        def counting(ws, arr, _original=original):
-            out = _original(ws, arr)
-            real = arr if arr.dtype.kind == "f" else out
-            transforms.append(real.size // ws.grid.n**3)
+        def counting(ws, arr, *box, _original=original):
+            out = _original(ws, arr, *box)
+            if box:
+                transforms.append(int(np.prod(arr.shape[:-3])))
+            else:
+                real = arr if arr.dtype.kind == "f" else out
+                transforms.append(real.size // ws.grid.n**3)
             return out
 
         monkeypatch.setattr(FourierWorkspace, name, counting)

@@ -20,12 +20,14 @@ from maxmat import (
     NumericalAbort,
     SimState,
     SimSystem,
+    ball_mask,
     box_mask,
     integrate_matter,
     load_scenario,
     make_initial,
     matter_l2_norm,
     pack_rho,
+    restrict_to_domain,
     run,
     run_reduced,
     step,
@@ -42,7 +44,7 @@ def test_rhs_recomposition(ll_system, ll_state):
     # du must be exactly -B u plus the extended matter source; dv exactly F
     sys_ = ll_system
     du, dv = sys_.tendencies(ll_state.u, ll_state.v)
-    from maxmat import apply_B, extend_by_zero, restrict_to_domain
+    from maxmat import apply_B, extend_by_zero
 
     f = sys_.model.eval_F(ll_state.v, restrict_to_domain(ll_state.u, sys_.domain))
     np.testing.assert_allclose(dv, f, atol=1e-15)
@@ -259,8 +261,11 @@ def test_step_from_spectral_state_makes_24_scalar_transforms(
     cfg = IntegratorConfig(dt=1e-3, t_end=1e-3, scheme=scheme)
     spectral = SimState.spectral(0.0, ws.forward(ll_state.u), ll_state.v, ws)
     transforms = count_transforms(monkeypatch)
+    whole_grid = count_transforms(monkeypatch, names=("forward", "inverse"))
     out = step(ll_system, spectral, cfg)
     assert (len(transforms), sum(transforms)) == (8, 24)
+    # every stage transform runs over the domain's bounding box only
+    assert whole_grid == []
     assert out.u_hat is not None
     # a physical input adds its 6-component forward transform, and stage 1
     # samples it without the 3-component inverse
@@ -268,6 +273,28 @@ def test_step_from_spectral_state_makes_24_scalar_transforms(
     step(ll_system, ll_state, cfg)
     assert (len(transforms), sum(transforms)) == (8, 27)
     assert transforms[0] == 6
+
+
+@pytest.mark.parametrize("kind", ["landau_lifschitz", "bloch"])
+def test_box_sample_and_source_match_whole_grid_transforms(kind, ll_system, grid16, rng):
+    # the Bloch system couples through slot 2 on a ball, with a weight that
+    # divides its source
+    if kind == "bloch":
+        sys_ = _bloch_system(grid16, eta=1.0)
+        sys_ = SimSystem(grid16, sys_.coeffs, ball_mask(grid16, (0.45, 0.5, 0.55), 0.2),
+                         sys_.model)
+    else:
+        sys_ = ll_system
+    ws, dom = sys_.ws, sys_.domain
+    field_hat = ws.forward(rng.standard_normal((3,) + grid16.shape))
+    whole = ws.inverse(field_hat)
+    got = sys_.sample_hat(field_hat)
+    assert got.shape == (3, dom.count)
+    assert np.abs(got - restrict_to_domain(whole, dom)).max() <= 1e-15 * np.abs(whole).max()
+    w = rng.standard_normal((sys_.model.dim, dom.count))
+    np.testing.assert_array_equal(sys_.source_hat(w), ws.forward(sys_.source_field(w)))
+    on_box = sys_.source_field(w)[(slice(None),) + dom.box]
+    np.testing.assert_array_equal(sys_.source_block(w), on_box)
 
 
 def test_lawson_step_makes_four_propagator_applications(ll_system, ll_state, monkeypatch):

@@ -25,7 +25,7 @@ from maxmat import (
 )
 from maxmat.evolution import FixedPointError
 
-from .conftest import smooth_coefficients, tilted_magnetization
+from .conftest import count_transforms, smooth_coefficients, tilted_magnetization
 
 
 @pytest.fixture()
@@ -139,29 +139,28 @@ def test_config_validation():
 def test_node_phases_computed_once_and_only_the_coupled_slot_transformed(monkeypatch):
     # ll_mollified converges in 10 sweeps over 41 nodes. Each node's phases
     # are computed once for all sweeps; each node of a sweep transforms the
-    # coupled 3-vector of the source forward, plus 6 for the initial field.
+    # coupled 3-vector of the source forward, over the domain's box, plus
+    # 6 for the initial field.
     from pathlib import Path
 
     from maxmat import load_scenario
-    from maxmat.spectral import FourierWorkspace, FreePropagator
+    from maxmat.spectral import FreePropagator
 
     scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "ll_mollified.yaml")
     system = scn.build_system()
     state = scn.initial_state(system)
-    phases, forward = [], []
-    original_phases, original_forward = FreePropagator.phases, FourierWorkspace.forward
+    phases = []
+    original_phases = FreePropagator.phases
 
     def counting_phases(prop, t):
         phases.append(t)
         return original_phases(prop, t)
 
-    def counting_forward(ws, arr):
-        forward.append(arr.size // ws.grid.n**3)
-        return original_forward(ws, arr)
-
     monkeypatch.setattr(FreePropagator, "phases", counting_phases)
-    monkeypatch.setattr(FourierWorkspace, "forward", counting_forward)
+    forward = count_transforms(monkeypatch, names=("forward", "forward_box"))
+    whole = count_transforms(monkeypatch, names=("forward",))
     res = mollified_fixed_point(system, state, scn.fixed_point)
     assert res.iterations == 10
     assert len(phases) == scn.fixed_point.n_steps + 1 == 41
     assert sum(forward) == 6 + 10 * 41 * 3 == 1236
+    assert whole == [6]

@@ -116,6 +116,28 @@ def test_extend_restrict_round_trip(grid16, rng):
     np.testing.assert_array_equal(back, v)
 
 
+def test_domain_box_is_the_tight_bounding_box(grid16):
+    dom = ball_mask(grid16, (0.45, 0.5, 0.55), 0.2)
+    np.testing.assert_array_equal(dom.cropped_mask, dom.mask[dom.box])
+    outside = dom.mask.copy()
+    outside[dom.box] = False
+    assert not outside.any()
+    # tight: every face of the box touches the domain
+    for axis in range(3):
+        assert dom.cropped_mask.take(0, axis=axis).any()
+        assert dom.cropped_mask.take(-1, axis=axis).any()
+    # the cropped mask lists the voxels in the mask's order
+    v = np.arange(dom.count, dtype=float)
+    block = np.zeros(dom.cropped_mask.shape)
+    block[dom.cropped_mask] = v
+    np.testing.assert_array_equal(extend_by_zero(v, dom)[0][dom.box], block)
+    # the margin rule caps the box at 3n/4 cells per axis
+    n, q = grid16.n, grid16.n // 8
+    full = np.zeros(grid16.shape, dtype=bool)
+    full[q:n - q, q:n - q, q:n - q] = True
+    assert DomainMask(full, grid16).box == (slice(q, n - q),) * 3
+
+
 def test_extend_rejects_wrong_voxel_count(grid16):
     dom = box_mask(grid16, (0.5, 0.5, 0.5), (0.2, 0.2, 0.2))
     with pytest.raises(ValueError):

@@ -75,6 +75,30 @@ def test_constant_path_idempotent_and_orthogonal(grid16, ws16, rng):
     assert abs(ip) < 1e-12 * weighted_norm(u, co, grid16) ** 2
 
 
+@pytest.mark.parametrize("k", [1.0, 2.5])
+def test_constant_weight_folds_into_the_divergence(grid16, ws16, rng, k, monkeypatch):
+    # the constant weight scales the divergence instead of multiplying v:
+    # the same projection as from the spectrum of k v, to the bit for k = 1
+    v = rng.standard_normal((3,) + grid16.shape)
+    kappa = np.full(grid16.shape, k)
+    b = ws16.hermitian_planes(ws16.div_hat(ws16.forward(kappa * v), -1.0))
+    expect = ws16.inverse(ws16.grad_hat(helmholtz._potential_hat(b, kappa, ws16)))
+    forwarded = []
+    original = FourierWorkspace.forward
+
+    def recording(ws, a):
+        forwarded.append(a)
+        return original(ws, a)
+
+    monkeypatch.setattr(FourierWorkspace, "forward", recording)
+    got = project_complement(v, kappa, ws16)
+    assert len(forwarded) == 1 and forwarded[0] is v
+    if k == 1.0:
+        np.testing.assert_array_equal(got, expect)
+    else:
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
 def test_variable_path_idempotent_and_orthogonal(grid16, ws16, rng):
     co = smooth_coefficients(grid16)
     u = random_state(rng, grid16)

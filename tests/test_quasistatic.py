@@ -31,7 +31,7 @@ from maxmat import (
 from maxmat.grid import ball_indicator
 from maxmat.quasistatic import _pu_local_norm
 
-from .conftest import count_transforms, random_state, tilted_magnetization
+from .conftest import count_transforms, random_state, smooth_coefficients, tilted_magnetization
 
 
 @pytest.fixture()
@@ -105,6 +105,26 @@ def test_reduced_rhs_recomposition(qs_system):
     em[0:3] = g[:, qs_system.domain.mask]
     expect = qs_system.model.eval_F(v, em)
     np.testing.assert_allclose(reduced_rhs(qs_system, v), expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("variable", [False, True])
+def test_reduced_rhs_is_the_slaved_field_on_the_domain(grid16, qs_system, variable, monkeypatch):
+    # the box transforms give the whole-grid path's field to roundoff, on
+    # constant weights (a multiplier) and on variable ones (PCG); b is the
+    # same to the bit, so the solve is the same solve
+    co = smooth_coefficients(grid16) if variable else Coefficients.constant(grid16, 2.5, 0.5)
+    system = SimSystem(grid16, co, qs_system.domain, qs_system.model)
+    v = tilted_magnetization(system.domain)
+    em = np.zeros((6, system.domain.count))
+    g = slaved_field(system, v)
+    em[0:3] = restrict_to_domain(g, system.domain)
+    expect = system.model.eval_F(v, em)
+    transforms = count_transforms(monkeypatch)
+    whole_grid = count_transforms(monkeypatch, names=("forward", "inverse"))
+    got = reduced_rhs(system, v)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    if not variable:
+        assert (transforms, whole_grid) == ([3, 3], [])
 
 
 def test_run_reduced_fourth_order(qs_system):

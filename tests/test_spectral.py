@@ -447,3 +447,63 @@ class TestKernels:
         np.testing.assert_allclose(out, -0.5j * plain, rtol=1e-15, atol=0)
         scaled = ws16.div_hat(v, -0.5j)
         np.testing.assert_allclose(scaled, -0.5j * ws16.div_hat(v), rtol=1e-15, atol=0)
+
+
+def _boxes(n):
+    """One-voxel, largest-admitted (3n/4 per axis) and unequal off-centre boxes."""
+    q = n // 8
+    return {
+        "one_voxel": (slice(q, q + 1), slice(n // 2, n // 2 + 1), slice(n - q - 1, n - q)),
+        "largest": (slice(q, n - q),) * 3,
+        "off_centre": (slice(q, n // 2), slice(n // 2 - 1, n // 2 + 2), slice(3 * q, n - q)),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("case", ["one_voxel", "largest", "off_centre"])
+@pytest.mark.parametrize("lead", [3, 6])
+def test_box_transforms_match_whole_grid(n, case, lead, rng):
+    ws = FourierWorkspace(Grid3(n))
+    box = _boxes(n)[case]
+    inside = (slice(None),) + box
+    # white noise carries Nyquist content along every axis
+    block = rng.standard_normal((lead,) + tuple(s.stop - s.start for s in box))
+    full = np.zeros((lead,) + ws.grid.shape)
+    full[inside] = block
+    np.testing.assert_array_equal(ws.forward_box(block, box), ws.forward(full))
+    # a real field's spectrum, and an arbitrary half-spectrum whose kz = 0
+    # and Nyquist planes are not Hermitian
+    for spectra in (ws.forward(rng.standard_normal(full.shape)),
+                    white_half_spectrum(rng, ws, lead)):
+        kept = spectra.copy()
+        whole = ws.inverse(spectra)
+        got = ws.inverse_box(spectra, box)
+        np.testing.assert_array_equal(spectra, kept)
+        assert got.shape == block.shape
+        # relative to the field's size: a one-voxel box may hold small values
+        assert np.abs(got - whole[inside]).max() <= 1e-15 * np.abs(whole).max()
+
+
+def test_box_transforms_of_nyquist_modes(ws16, rng):
+    # the alternating field (-1)^(i+j+k) is the one corner Nyquist mode
+    n = ws16.grid.n
+    box = _boxes(n)["off_centre"]
+    i, j, k = np.meshgrid(*(np.arange(n)[s] for s in box), indexing="ij")
+    block = np.stack([(-1.0) ** (i + j + k), (-1.0) ** i, (-1.0) ** k])
+    full = np.zeros((3,) + ws16.grid.shape)
+    full[(slice(None),) + box] = block
+    np.testing.assert_array_equal(ws16.forward_box(block, box), ws16.forward(full))
+    # and back: unit-amplitude Nyquist modes alone
+    spectra = np.zeros((3,) + ws16.spectral_shape, dtype=complex)
+    spectra[:, n // 2, n // 2, -1] = n**3
+    spectra[1, n // 2, 0, 0] = n**3
+    np.testing.assert_allclose(
+        ws16.inverse_box(spectra, box), ws16.inverse(spectra)[(slice(None),) + box],
+        rtol=0, atol=1e-15,
+    )
+
+
+def test_forward_box_rejects_a_block_of_another_shape(ws16):
+    box = _boxes(16)["off_centre"]
+    with pytest.raises(ValueError, match="does not match the box"):
+        ws16.forward_box(np.zeros((3, 2, 3, 4)), box)
