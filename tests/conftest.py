@@ -44,10 +44,7 @@ def random_state(rng, grid, components=6):
     return rng.standard_normal((components,) + grid.shape)
 
 
-BOX_TRANSFORMS = ("forward_box", "inverse_box")
-
-
-def count_transforms(monkeypatch, names=("forward", "inverse") + BOX_TRANSFORMS):
+def count_transforms(monkeypatch, names=("forward", "inverse", "forward_box", "inverse_box")):
     """Patch the named FourierWorkspace transforms to record the number of
     scalar transforms of each call; returns the (live) list of counts.
 
