@@ -3,7 +3,9 @@
 Monitors are callables (system, state) -> float, assembled per model so a
 run's CSV carries the quantities its theory actually constrains: weighted
 field norm, matter norms, constraint residual, and model-specific checks
-(magnetization modulus drift, density-matrix trace drift).
+(magnetization modulus drift, density-matrix trace drift). They read the
+field through the form-aware readers of ``SimSystem``, so a sample of a
+spectral state makes no whole-grid transform.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .grid import matter_l2_norm, weighted_norm
+from .grid import matter_l2_norm
 from .models import BlochModel, LandauLifschitzModel
 
 
@@ -64,13 +66,13 @@ def _ll_energy(system, state) -> float:
     m_perp_sq = np.einsum("cm,cm->m", v, v) - np.einsum("c,cm->m", model.axis_unit, v) ** 2
     mismatch = model.applied_field[:, None] - v
     density = 0.5 * model.aniso * m_perp_sq + 0.5 * np.einsum("cm,cm->m", mismatch, mismatch)
-    em_sq = weighted_norm(state.u, system.coeffs, system.grid) ** 2
+    em_sq = system.em_norm(state) ** 2
     return 0.5 * em_sq + float(np.sum(system.kappa_d * density)) * system.grid.cell_volume
 
 
 def _ll_dissipation_rate(system, state) -> float:
     model = system.model
-    f = system.matter_tendency(state.u, state.v)
+    f = system.coupled_tendency(system.coupled_field(state), state.v)
     weight = model.damping / (model.damping**2 + model.gyro**2)
     f_sq = float(np.sum(system.kappa_d * np.einsum("cm,cm->m", f, f)))
     return weight * f_sq * system.grid.cell_volume
@@ -109,7 +111,7 @@ def sup_norm(v: np.ndarray) -> float:
 def standard_monitors(system, v_init: np.ndarray) -> dict:
     """Named monitor callables for a run's CSV, chosen per model."""
     mons = {
-        "em_norm": lambda sys_, s: weighted_norm(s.u, sys_.coeffs, sys_.grid),
+        "em_norm": lambda sys_, s: sys_.em_norm(s),
         "v_l2": lambda sys_, s: matter_l2_norm(s.v, sys_.grid),
         "v_sup": lambda sys_, s: sup_norm(s.v),
         "constraint": lambda sys_, s: sys_.constraint_residual(s),

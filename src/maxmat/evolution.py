@@ -22,9 +22,13 @@ from a physical state: its 6-component whole-grid forward transform, and
 its first stage samples it directly), and returns a spectral state. The Lawson
 step applies the half-step propagator four times, one of them to a
 3-vector and one computing only the coupled slot. A
-:class:`SimState` holds its field in one form, physical or spectral;
-:func:`run` checks finiteness on the form held and makes a physical view
-only at a step where a monitor, channel or snapshot reads it.
+:class:`SimState` holds its field in one form, physical or spectral.
+:func:`run` checks finiteness on the form held and hands monitors and
+channels the state as held; only a snapshot gets a physical view. The
+standard readers work from either form: :meth:`SimSystem.em_norm` is a
+Parseval sum on a spectrum, :meth:`SimSystem.coupled_field` a box
+inverse, and :meth:`SimSystem.constraint_residual` makes no whole-grid
+transform of a spectral state.
 
 The divergence constraint is monitored, never enforced: the curl-free
 content of u - shift(v) is a linear functional annihilated by the exact
@@ -52,8 +56,9 @@ from .grid import (
     extend_by_zero,
     matter_l2_norm,
     restrict_to_domain,
+    weighted_norm,
 )
-from .helmholtz import constraint_residual, project_complement
+from .helmholtz import _curl_free_norm, constraint_residual, project_complement
 from .models import MatterModel
 from .spectral import (
     FourierWorkspace,
@@ -89,8 +94,11 @@ class SimState:
     ``u_hat`` with the workspace ``ws`` that inverts it, as
     :meth:`spectral` builds it and the constant-coefficient steppers
     return it. ``u`` reads the physical field in either case; on a
-    spectral state every read is a fresh inverse transform and the state
-    is left as it was, so threads may share it.
+    spectral state every read is a fresh 6-component inverse transform
+    and the state is left as it was, so threads may share it. Monitors
+    and channels of :func:`run` see the form held, so a reader that needs
+    less than the whole physical field should use the form-aware readers
+    of :class:`SimSystem` instead of ``u``.
     """
 
     def __init__(self, t: float, u: np.ndarray, v: np.ndarray):
@@ -276,8 +284,42 @@ class SimSystem:
             return restrict_to_domain(state.u[self.slot], self.domain)
         return self.sample_hat(state.u_hat[self.slot])
 
+    def em_norm(self, state: SimState) -> float:
+        """Weighted norm of the state's field, from the form held: a Parseval
+        sum of a spectrum, a grid sum of a physical field."""
+        if state.u_hat is None:
+            return weighted_norm(state.u, self.coeffs, self.grid)
+        return spectral_weighted_norm(state.u_hat, *self.coeffs.constant_values(), self.ws)
+
+    def shift_norm(self, v: np.ndarray) -> float:
+        """Weighted norm of the matter shift :meth:`matter_to_field` of ``v``,
+        summed over the domain voxels, where it is supported."""
+        src = self.model.source_from_matter(v, self.kappa_d)
+        sq = float(np.sum(self.kappa_d * np.einsum("cm,cm->m", src, src)))
+        return float(np.sqrt(sq * self.grid.cell_volume))
+
     def constraint_residual(self, state: SimState) -> float:
-        return constraint_residual(state.u, self.matter_to_field(state.v), self.coeffs, self.ws)
+        """:func:`helmholtz.constraint_residual` of the field against the
+        matter shift of ``state.v``, from the field in the form held.
+
+        A physical field goes to :func:`helmholtz.constraint_residual` with
+        :meth:`matter_to_field`. On a spectral state the scale is
+        :meth:`em_norm` plus :meth:`shift_norm`, and the potential source
+        of each slot, b = -div(k (u - shift)), is the held spectrum's
+        divergence minus, in the coupled slot, that of :meth:`source_hat`:
+        3 box transforms and no whole-grid one.
+        """
+        ws = self.ws
+        if state.u_hat is None:
+            return constraint_residual(state.u, self.matter_to_field(state.v), self.coeffs, ws)
+        scale = self.em_norm(state) + self.shift_norm(state.v)
+        if scale == 0.0:
+            return 0.0
+        k = self.coeffs.constant_values()
+        sources = [ws.div_hat(state.u_hat[0:3], -k[0]), ws.div_hat(state.u_hat[3:6], -k[1])]
+        c = self.model.em_slot - 1
+        sources[c] -= ws.div_hat(self.source_hat(state.v), -k[c])
+        return _curl_free_norm(sources, self.coeffs, ws) / scale
 
     def cfl_limit(self) -> float:
         speed_weight = float(np.sqrt((self.coeffs.kappa1 * self.coeffs.kappa2).min()))
@@ -471,8 +513,11 @@ def run(
     ``channels`` has the same signature but is sampled at every step
     boundary (for time-quadrature of rates). ``snapshot_cb(system,
     state, step)`` is called on the monitor rule with ``snapshot_stride``
-    in place of ``stride``, and never when that is 0. All of them see a
-    state with a physical field. Returns (final_state, records,
+    in place of ``stride``, and never when that is 0. Monitors and
+    channels see the state in the form it is held: after a
+    constant-coefficient step that is a spectrum, on which each ``u``
+    read is one 6-component inverse transform. Only ``snapshot_cb`` gets
+    a physical view, made at its own steps. Returns (final_state, records,
     channel_series) where records is a list of dicts and channel_series
     maps names to arrays over all step times; the final state holds its
     field in the form the last step left it.
@@ -494,20 +539,15 @@ def run(
             state.t = t0 + i * cfg.dt
             if not state.is_finite():
                 raise NumericalAbort(f"non-finite state at t={state.t:.6g} (step {i})")
-        # Readers get a physical view, made only at a step that has one;
-        # the stepping continues from ``state`` in whatever form it holds.
-        reads = channels or (monitors and sampled(i)) or (snap and snap(i))
-        seen = state.physical() if reads else state
         for name, fn in channels.items():
-            series[name].append(float(fn(system, seen)))
+            series[name].append(float(fn(system, state)))
         if sampled(i):
-            row = {"t": seen.t, "step": i}
+            row = {"t": state.t, "step": i}
             for name, fn in monitors.items():
-                row[name] = float(fn(system, seen))
+                row[name] = float(fn(system, state))
             records.append(row)
         if snap and snap(i):
-            snapshot_cb(system, seen, i)
-        del seen  # a physical view must not outlive its step
+            snapshot_cb(system, state.physical(), i)
 
     channel_arrays = {name: np.asarray(vals) for name, vals in series.items()}
     return state, records, channel_arrays

@@ -4,11 +4,13 @@ For a positive weight k the splitting writes v = (v - grad phi) + grad phi
 with div(k (v - grad phi)) = 0; the two parts are orthogonal in the
 k-weighted inner product. One solve, :func:`_potential_hat`, returns phi
 from the half-spectrum of b = -div(k v): the projector takes grad phi,
-and the constraint monitor its squared weighted norm, <b, phi> by parts,
-with no gradient field. Only the solve tells the weight classes apart,
-except that the projector folds a constant weight into the scale of the
-divergence instead of forming k v. A constant weight is the multiplier
-b / (k |xi|^2); a variable one needs preconditioned conjugate gradients,
+and the constraint monitor (:func:`_curl_free_norm`) its squared
+weighted norm, <b, phi> by parts, with no gradient field. Only the solve
+tells the weight classes apart, except that the projector folds a
+constant weight into the scale of the divergence instead of forming k v
+(:func:`_constant_gradient_hat`, which also serves callers that hold a
+spectrum). A constant weight is the multiplier b / (k |xi|^2); a
+variable one needs preconditioned conjugate gradients,
 with the constant-coefficient inverse Laplacian as preconditioner, to
 the relative residual ``PCG_RTOL`` within ``PCG_MAX_ITER`` iterations.
 
@@ -52,14 +54,23 @@ def project_complement(v: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -
     if v.shape != (3,) + ws.grid.shape:
         raise ValueError(f"expected a 3-vector field on {ws.grid.shape}, got {v.shape}")
     require_same_grid(v, kappa)
-    # A constant weight is a scale on the divergence: no kappa * v temporary.
-    # Neither spectrum is named, so it is freed before the solve runs.
     if float(np.ptp(kappa)) == 0.0:
-        b = ws.div_hat(ws.forward(v), -float(kappa.flat[0]))
-    else:
-        b = ws.div_hat(ws.forward(kappa * v), -1.0)
-    ws.hermitian_planes(b)
+        return ws.inverse(_constant_gradient_hat(ws.forward(v), kappa, ws))
+    # The spectrum is not named, so it is freed before the solve runs.
+    b = ws.hermitian_planes(ws.div_hat(ws.forward(kappa * v), -1.0))
     return ws.inverse(ws.grad_hat(_potential_hat(b, kappa, ws)))
+
+
+def _constant_gradient_hat(
+    v_hat: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace
+) -> np.ndarray:
+    """Half-spectrum of the gradient (curl-free) part of the 3-vector field
+    with half-spectrum ``v_hat`` in the constant weight ``kappa``.
+
+    The constant is a scale on the divergence, so no kappa * v is formed.
+    """
+    b = ws.hermitian_planes(ws.div_hat(v_hat, -float(kappa.flat[0])))
+    return ws.grad_hat(_potential_hat(b, kappa, ws))
 
 
 def _potential_hat(b: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
@@ -132,10 +143,10 @@ def constraint_residual(
     residual zero. A compatible initial state keeps this at roundoff for
     all time because the evolution never feeds the curl-free subspace.
 
-    The curl-free part of a slot d is grad phi with -div(k grad phi) =
-    b = -div(k d), so its squared weighted norm is <b, phi>: one forward
-    transform of the weighted difference (6 scalar transforms), then per
-    slot the potential solve and a Parseval sum, and no gradient field.
+    One forward transform of the weighted difference (6 scalar
+    transforms), then per slot the potential solve and a Parseval sum
+    (:func:`_curl_free_norm`). ``SimSystem.constraint_residual`` reads the
+    same quantity from a spectral state.
     """
     scale = weighted_norm(state, coeffs, ws.grid) + weighted_norm(matter_shift, coeffs, ws.grid)
     if scale == 0.0:
@@ -146,8 +157,20 @@ def constraint_residual(
         weighted[s] *= kappa
     w_hat = ws.forward(weighted)
     del weighted
+    return _curl_free_norm([ws.div_hat(w_hat[s], -1.0) for s, _ in slots], coeffs, ws) / scale
+
+
+def _curl_free_norm(sources: list, coeffs: Coefficients, ws: FourierWorkspace) -> float:
+    """Weighted norm of the curl-free part of an EM field, given per slot the
+    half-spectrum of its potential source b = -div(k w).
+
+    The curl-free part of slot w is grad phi with -div(k grad phi) = b, so
+    its squared weighted norm is <b, phi> by parts: per slot the potential
+    solve and a Parseval sum, and no gradient field. The sources' kz = 0 and
+    Nyquist planes are made Hermitian in place.
+    """
     sq = 0.0
-    for s, kappa in slots:
-        b = ws.hermitian_planes(ws.div_hat(w_hat[s], -1.0))
+    for b, kappa in zip(sources, (coeffs.kappa1, coeffs.kappa2)):
+        ws.hermitian_planes(b)
         sq += ws.inner_hat(b, _potential_hat(b, kappa, ws))
-    return float(np.sqrt(max(ws.grid.cell_volume / ws.grid.n**3 * sq, 0.0))) / scale
+    return float(np.sqrt(max(ws.grid.cell_volume / ws.grid.n**3 * sq, 0.0)))

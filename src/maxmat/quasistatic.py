@@ -11,6 +11,7 @@ is ``make_initial`` of the final matter state.
 The study integrates the scaled system for a decreasing list of eta,
 measures the surviving divergence-free field content in a fixed
 observation ball, and fits the decay rate against eta on log-log axes.
+The runs and the limit model share one thread pool, costliest first.
 
 Torus caveat, by design: the spatial mean of the coupled slot drifts
 with the matter and cannot propagate away on a periodic box, so the
@@ -21,6 +22,7 @@ space.
 
 from __future__ import annotations
 
+import contextvars
 import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from .evolution import (
     run,
 )
 from .grid import ball_indicator, matter_l2_norm
-from .helmholtz import _potential_hat, project_complement, project_P
+from .helmholtz import _constant_gradient_hat, _potential_hat, project_complement
 
 
 def with_eta(system: SimSystem, eta: float) -> SimSystem:
@@ -161,11 +163,23 @@ def _substeps(sample_dt: float, dt_cap: float) -> tuple[int, float]:
     return n_sub, sample_dt / n_sub
 
 
-def _pu_local_norm(system: SimSystem, u: np.ndarray, ball: np.ndarray) -> float:
-    """L2 norm over the ball of the divergence-free part, zero mode removed."""
-    pu = project_P(u, system.coeffs, system.ws)
-    pu -= pu.mean(axis=(1, 2, 3), keepdims=True)
-    return matter_l2_norm(pu[:, ball], system.grid)
+def _pu_local_norm(system: SimSystem, state: SimState, ball: np.ndarray) -> float:
+    """L2 norm over the ball of the divergence-free part of the state's
+    field, zero mode removed; constant coefficients only.
+
+    On constant weights the projection is a multiplier, so it acts on the
+    held spectrum (a physical field is forward-transformed first): per
+    slot, u minus its curl-free part. One 6-component inverse transform
+    follows, so a sample makes 6 scalar transforms from a spectral state
+    and 12 from a physical one.
+    """
+    ws = system.ws
+    u_hat = state.spectrum(ws)
+    pu_hat = np.empty_like(u_hat)
+    for s, kappa in zip((slice(0, 3), slice(3, 6)), (system.coeffs.kappa1, system.coeffs.kappa2)):
+        np.subtract(u_hat[s], _constant_gradient_hat(u_hat[s], kappa, ws), out=pu_hat[s])
+    pu_hat[:, 0, 0, 0] = 0.0
+    return matter_l2_norm(ws.inverse(pu_hat)[:, ball], system.grid)
 
 
 def _eta_run(
@@ -175,7 +189,11 @@ def _eta_run(
     cfg: EtaStudyConfig,
     ball: np.ndarray,
 ):
-    """One scaled run; returns (pu_series, v_samples, dt) on the sample grid."""
+    """One scaled run; returns (pu_series, v_samples, dt) on the sample grid.
+
+    Its one monitor records the matter sample and reads ``pu`` from the
+    state as held, so the run makes no physical view of the field.
+    """
     if not system.coeffs.is_constant:
         raise ValueError("eta study needs constant coefficients")
     sys_eta = with_eta(system, eta)
@@ -183,11 +201,14 @@ def _eta_run(
     n_sub, dt = _substeps(cfg.sample_dt, min(cfg.dt, stiff_cap))
 
     v_samples = []
+
+    def pu(s: SimSystem, st: SimState) -> float:
+        v_samples.append(st.v.copy())
+        return _pu_local_norm(s, st, ball)
+
     _, records, _ = run(
-        sys_eta, state0,
-        IntegratorConfig(dt, t_end=cfg.t_obs, scheme=cfg.scheme),
-        monitors={"pu": lambda s, st: _pu_local_norm(s, st.u, ball)}, stride=n_sub,
-        snapshot_cb=lambda s, st, i: v_samples.append(st.v.copy()), snapshot_stride=n_sub,
+        sys_eta, state0, IntegratorConfig(dt, t_end=cfg.t_obs, scheme=cfg.scheme),
+        monitors={"pu": pu}, stride=n_sub,
     )
     return np.asarray([r["pu"] for r in records]), np.asarray(v_samples), dt
 
@@ -200,8 +221,18 @@ def eta_convergence_study(
     All runs start from the same state. The limit path comes from
     :func:`run_reduced` on the shared initial matter state. Failed runs
     (non-finite states) are recorded and excluded from the fit.
-    Independent eta runs may execute on a thread pool; results are
-    collected by index so the output is identical for any thread count.
+
+    The eta runs and the limit model share one pool of ``cfg.threads``
+    threads, each task in a copy of the caller's context (numpy's error
+    state included). The runs are queued costliest first, that is in
+    increasing eta, and the limit model last, so that the longest run is
+    not the one that ends alone. The queue is first in, first out, so
+    once the limit model runs no eta run is left queued. An exception
+    from the limit model therefore propagates only after every eta run
+    has finished; before the limit model shared the pool it stopped the
+    study before any eta run began. Rows and deviation curves are built
+    after every run has finished, in ``cfg.eta_list`` order, so the
+    output is identical for any thread count.
     """
     c = 0.5 * system.grid.box_len
     ball = ball_indicator(system.grid, (c, c, c), cfg.radius)
@@ -210,36 +241,38 @@ def eta_convergence_study(
 
     n_sub0, dt0 = _substeps(cfg.sample_dt, cfg.dt)
     red_cfg = IntegratorConfig(dt=dt0, t_end=cfg.t_obs, scheme="rk4")
-    reduced = run_reduced(system, state0.v, red_cfg, sample_stride=n_sub0)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
 
-    def task(eta: float):
+        def submit(fn, *args):
+            return pool.submit(contextvars.copy_context().run, fn, *args)
+
+        # eta_list is strictly decreasing and the step cap is linear in eta,
+        # so the reversed list is costliest first
+        runs = {
+            eta: submit(_eta_run, system, state0, eta, cfg, ball) for eta in cfg.eta_list[::-1]
+        }
+        reduced = submit(run_reduced, system, state0.v, red_cfg, n_sub0).result()
+
+    rows, curves = [], {}
+    for eta in cfg.eta_list:
         try:
-            pu_series, v_samples, dt = _eta_run(system, state0, eta, cfg, ball)
+            pu_series, v_samples, dt = runs[eta].result()
         except NumericalAbort as exc:
-            return {"eta": eta, "failed": True, "error": str(exc)}, None
-        pu_norm = float(np.sqrt(np.trapezoid(pu_series**2, dx=cfg.sample_dt)))
-        dev_curve = np.array(
+            rows.append({"eta": eta, "failed": True, "error": str(exc)})
+            continue
+        curves[eta] = np.array(
             [
                 matter_l2_norm(v_samples[k] - reduced.v_samples[k], system.grid)
                 for k in range(n_samples + 1)
             ]
         )
-        row = {
+        rows.append({
             "eta": eta,
             "failed": False,
-            "pu_norm": pu_norm,
-            "v_deviation": float(dev_curve.max()),
+            "pu_norm": float(np.sqrt(np.trapezoid(pu_series**2, dx=cfg.sample_dt))),
+            "v_deviation": float(curves[eta].max()),
             "dt": dt,
-        }
-        return row, dev_curve
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        outcomes = list(pool.map(task, cfg.eta_list))
-
-    rows = [row for row, _ in outcomes]
-    curves = {
-        row["eta"]: curve for (row, curve) in outcomes if curve is not None
-    }
+        })
 
     good = [r for r in rows if not r["failed"] and r["pu_norm"] > 0]
     slope = intercept = None

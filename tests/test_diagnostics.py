@@ -18,6 +18,8 @@ from maxmat import (
 )
 from maxmat.diagnostics import CSV_SCHEMA_VERSION
 
+from .conftest import count_transforms
+
 
 def test_monitor_record_rejects_non_finite():
     MonitorRecord(t=0.0, step=0, values={"a": 1.0})
@@ -155,6 +157,53 @@ def test_ll_monitor_sample_makes_one_eval_F(ll_system, ll_state, monkeypatch):
     assert rate > 0.0
     assert row["energy"].hex() == energy.hex()
     assert row["dissipation_rate"].hex() == rate.hex()
+
+
+@pytest.mark.parametrize("k", [(1.0, 1.0), (2.0, 0.5)])
+def test_monitors_agree_on_either_form(ll_system, ll_state, k):
+    from maxmat import Coefficients, SimState, SimSystem
+
+    grid = ll_system.grid
+    sys_ = SimSystem(grid, Coefficients.constant(grid, *k), ll_system.domain, ll_system.model)
+    ws = sys_.ws
+    # a compatible state, and one with curl-free content in both slots
+    xx, yy, _ = grid.meshgrid()
+    gradient = np.zeros((6,) + grid.shape)
+    gradient[0] = 0.3 * np.cos(2 * np.pi * xx)
+    gradient[4] = 0.2 * np.sin(4 * np.pi * yy)
+    mons = standard_monitors(sys_, ll_state.v)
+    for u in (ll_state.u, ll_state.u + gradient):
+        physical = SimState(0.0, u, ll_state.v)
+        spectral = SimState.spectral(0.0, ws.forward(u), ll_state.v, ws)
+        for name in ("em_norm", "constraint", "energy", "dissipation_rate"):
+            a, b = mons[name](sys_, physical), mons[name](sys_, spectral)
+            if name == "constraint" and u is ll_state.u:
+                assert a < 1e-12 and b < 1e-12
+            else:
+                assert b == pytest.approx(a, rel=1e-12), name
+    assert mons["constraint"](sys_, spectral) > 1e-2
+
+
+def test_spectral_monitors_and_rate_channel_make_no_whole_grid_transform(
+    ll_system, ll_state, monkeypatch
+):
+    from maxmat import SimState
+
+    ws = ll_system.ws
+    state = SimState.spectral(0.0, ws.forward(ll_state.u), ll_state.v, ws)
+    boxes = count_transforms(monkeypatch, names=("forward_box", "inverse_box"))
+    whole = count_transforms(monkeypatch, names=("forward", "inverse"))
+    # one monitor sample: the constraint's shift source and the rate's field sample
+    mons = standard_monitors(ll_system, state.v)
+    for fn in mons.values():
+        fn(ll_system, state)
+    assert (sum(boxes), whole) == (3 + 3, [])
+    boxes.clear()
+    # four RK4 steps, 24 box transforms each, and 3 per sample of the rate
+    cfg = IntegratorConfig(dt=1e-3, t_end=4e-3, scheme="rk4")
+    _, _, series = run(ll_system, state, cfg, channels={"rate": lambda s, st: ll_energy(s, st)[1]})
+    assert series["rate"].shape == (5,)
+    assert (sum(boxes), whole) == (4 * 24 + 5 * 3, [])
 
 
 def test_standard_monitors_bloch(grid16):

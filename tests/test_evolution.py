@@ -95,6 +95,23 @@ def test_free_flow_lawson_step_is_exact(ll_system, rng):
     assert np.all(out.v == 0.0)
 
 
+@pytest.mark.parametrize("kind", ["ll", "bloch"])
+def test_shift_norm_is_the_weighted_norm_of_the_shift(kind, ll_system, grid16, rng):
+    if kind == "ll":
+        model = ll_system.model
+    else:
+        d = np.zeros((3, 2, 2), dtype=complex)
+        d[0, 0, 1] = d[0, 1, 0] = 1.0
+        d[2, 0, 1], d[2, 1, 0] = 0.5j, -0.5j
+        model = BlochModel(levels=(0.0, 1.0), dipole=d, relax=0.1)
+    co = smooth_coefficients(grid16)
+    sys_ = SimSystem(grid16, co, ll_system.domain, model)
+    v = rng.standard_normal((model.dim, sys_.domain.count))
+    expect = weighted_norm(sys_.matter_to_field(v), co, grid16)
+    assert expect > 0.0
+    assert sys_.shift_norm(v) == pytest.approx(expect, rel=1e-14)
+
+
 def test_make_initial_projects_only_the_coupled_slot(ll_system, monkeypatch):
     # the matter shift is zero outside the coupled slot, so one projection suffices
     import maxmat.evolution as evolution
@@ -358,7 +375,8 @@ def test_state_holds_one_form(scheme, ll_system, ll_state):
     seen = []
     final, _, _ = run(ll_system, ll_state, cfg, monitors={
         "forms": lambda s, st: seen.append(_held_forms(st)) or 0.0})
-    assert seen == [["_u"]] * 4
+    # monitors see the form held: the physical start, then the steps' spectra
+    assert seen == [["_u"], ["u_hat"], ["u_hat"], ["u_hat"]]
     assert _held_forms(final) == ["u_hat"]
     # reading u neither caches nor converts
     u = final.u

@@ -152,7 +152,7 @@ def test_run_reduced_emits_consistent_state(qs_system):
     assert qs_system.constraint_residual(res.state) < 1e-11
     # the slaved field carries no divergence-free content at all
     ball = np.ones(qs_system.grid.shape, dtype=bool)
-    assert _pu_local_norm(qs_system, res.state.u, ball) < 1e-12
+    assert _pu_local_norm(qs_system, res.state, ball) < 1e-12
 
 
 def reference_pu_local_norm(system, u, ball):
@@ -182,9 +182,14 @@ def test_pu_local_norm_matches_transverse_reference(grid16, qs_system, rng, monk
     kept = project_P(u, system.coeffs, system.ws)
     assert np.sqrt(np.sum((kept**2).sum(axis=0)[ball]) * grid16.cell_volume) > 1.5 * expect
     transforms = count_transforms(monkeypatch)
-    got = _pu_local_norm(system, u, ball)
+    got = _pu_local_norm(system, SimState(0.0, u, None), ball)
     assert got == pytest.approx(expect, rel=1e-13)
     assert sum(transforms) == 12
+    # from the held spectrum: the projection is a multiplier, one inverse follows
+    spectral = SimState.spectral(0.0, system.ws.forward(u), None, system.ws)
+    transforms.clear()
+    assert _pu_local_norm(system, spectral, ball) == pytest.approx(expect, rel=1e-13)
+    assert transforms == [6]
 
 
 def test_eta_study_small(qs_system):
@@ -220,14 +225,63 @@ def test_eta_study_rk4_matches_lawson(qs_system):
         assert a["v_deviation"] == pytest.approx(b["v_deviation"], rel=1e-2)
 
 
+# sub-steps per sample interval 10, 10, 16 and 32: the pool reorders the runs
+SCHEDULE_KW = dict(eta_list=(0.4, 0.1, 0.05, 0.025), radius=0.3, t_obs=0.04, dt=2e-3,
+                   sample_dt=0.02, stiff_dt_factor=0.025)
+
+
 def test_eta_study_thread_determinism(qs_system):
     state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
-    kw = dict(eta_list=(0.4, 0.2), radius=0.3, t_obs=0.1, dt=2e-3,
-              sample_dt=0.02, stiff_dt_factor=0.025)
-    r1 = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=1, **kw))
-    r2 = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=4, **kw))
-    assert r1.rows == r2.rows  # bitwise equality of every float
-    assert r1.slope == r2.slope
+    small = dict(eta_list=(0.4, 0.2), radius=0.3, t_obs=0.1, dt=2e-3,
+                 sample_dt=0.02, stiff_dt_factor=0.025)
+    for kw in (small, SCHEDULE_KW):
+        r1 = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=1, **kw))
+        for threads in (2, 4):
+            rk = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=threads, **kw))
+            assert r1.rows == rk.rows  # bitwise equality of every float
+            assert r1.slope == rk.slope
+            for eta, curve in r1.v_deviation_curves.items():
+                assert np.array_equal(rk.v_deviation_curves[eta], curve)
+
+
+def test_eta_study_runs_costliest_first_and_the_limit_model_last(qs_system, monkeypatch):
+    # with one thread the runs go in increasing eta, then the limit model,
+    # also on the pool's thread and under the caller's numpy error state
+    import threading
+
+    import maxmat.quasistatic as qs
+
+    state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
+    calls = []
+    real_run, real_reduced = qs._eta_run, qs.run_reduced
+
+    def eta_run(system, state, eta, cfg, ball):
+        calls.append(eta)
+        return real_run(system, state, eta, cfg, ball)
+
+    def run_reduced(*args):
+        calls.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
+        return real_reduced(*args)
+
+    monkeypatch.setattr(qs, "_eta_run", eta_run)
+    monkeypatch.setattr(qs, "run_reduced", run_reduced)
+    with np.errstate(divide="ignore"):
+        res = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=1, **SCHEDULE_KW))
+    assert calls == [0.025, 0.05, 0.1, 0.4, (False, "ignore")]
+    assert [r["eta"] for r in res.rows] == [0.4, 0.1, 0.05, 0.025]
+    assert [r["dt"] for r in res.rows] == [2e-3, 2e-3, 0.02 / 16, 0.02 / 32]
+
+
+def test_eta_run_makes_no_physical_view(qs_system, monkeypatch):
+    import maxmat.quasistatic as qs
+
+    state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
+    monkeypatch.setattr(SimState, "physical", lambda self: pytest.fail("physical view"))
+    ball = ball_indicator(qs_system.grid, (0.5, 0.5, 0.5), 0.3)
+    cfg = EtaStudyConfig(**SCHEDULE_KW)
+    pu, v_samples, _ = qs._eta_run(qs_system, state0, 0.05, cfg, ball)
+    assert pu.shape == (3,) and v_samples.shape == (3,) + state0.v.shape
+    np.testing.assert_array_equal(v_samples[0], state0.v)
 
 
 def test_eta_study_baseline_failure_propagates(grid16):
