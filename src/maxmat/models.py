@@ -35,7 +35,11 @@ class MatterModel(ABC):
 
     @abstractmethod
     def eval_F(self, v: np.ndarray, em: np.ndarray) -> np.ndarray:
-        """Matter tendency, shape (dim, m); ``em`` is the (6, m) field sample."""
+        """Matter tendency, shape (dim, m); ``em`` is the (6, m) field sample.
+
+        Returns a new array: the Runge-Kutta steps sum their stages into it
+        in place.
+        """
 
     @abstractmethod
     def source_from_matter(self, w: np.ndarray, kappa_d: np.ndarray) -> np.ndarray:

@@ -47,8 +47,9 @@ from .helmholtz import _constant_gradient_hat, _potential_hat, project_complemen
 def with_eta(system: SimSystem, eta: float) -> SimSystem:
     """Shallow copy of a system with a different time-scale split.
 
-    Caches (workspace, restricted coefficients, and the propagator if the
-    original has built it) are shared read-only.
+    The workspace and the restricted coefficients are shared read-only.
+    The propagator is built by each copy on first use: nothing in the
+    package builds it on a system before copying it.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")

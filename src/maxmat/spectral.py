@@ -210,16 +210,37 @@ def curl(v: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
     return ws.inverse(ws.curl_hat(ws.forward(v)))
 
 
-def apply_B(state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np.ndarray:
+def apply_B(
+    state: np.ndarray,
+    coeffs: Coefficients,
+    ws: FourierWorkspace,
+    out: np.ndarray | None = None,
+    sign: float = 1.0,
+) -> np.ndarray:
     """The coupled curl operator B(u1, u2) = (curl u2 / k1, -curl u1 / k2).
 
     Skew-adjoint in the weighted inner product for any positive, possibly
     space-dependent coefficients.
+
+    Each output slot is one 3-vector forward transform, the curl
+    multiplier, one 3-vector inverse transform and a division by its
+    coefficient, written into that slot of ``out``. ``out`` is a
+    (6, n, n, n) buffer that is written, never read, and returned; without
+    it a new one is made. ``sign`` (+1 or -1) returns sign * B u, with the
+    sign folded into the curl multiplier, which is exact.
     """
     require_same_grid(state, coeffs.kappa1)
-    out = np.empty_like(state)
-    out[0:3] = curl(state[3:6], ws) / coeffs.kappa1
-    out[3:6] = -curl(state[0:3], ws) / coeffs.kappa2
+    if out is None:
+        out = np.empty_like(state)
+    # The two slots share one curl buffer: a fresh one per slot left the
+    # allocator growing and trimming its heap, a page fault per page.
+    curl_hat = None
+    for dst, src, kappa, scale in (
+        (_SLOT1, _SLOT2, coeffs.kappa1, sign),
+        (_SLOT2, _SLOT1, coeffs.kappa2, -sign),
+    ):
+        curl_hat = ws.curl_hat(ws.forward(state[src]), scale, out=curl_hat)
+        np.divide(ws.inverse(curl_hat), kappa, out=out[dst])
     return out
 
 

@@ -191,6 +191,18 @@ def test_apply_B_block_structure(grid16, ws16, rng):
     np.testing.assert_allclose(out[3:6], -curl(u[0:3], ws16) / co.kappa2, atol=1e-14)
 
 
+def test_apply_B_writes_into_out_without_reading_it(grid16, ws16, rng):
+    co = smooth_coefficients(grid16)
+    u = random_state(rng, grid16)
+    expect = apply_B(u, co, ws16)
+    buf = np.full_like(u, np.nan)
+    assert apply_B(u, co, ws16, out=buf) is buf
+    assert np.isfinite(buf).all()
+    np.testing.assert_array_equal(buf, expect)
+    # the sign goes into the curl multiplier, which negates exactly
+    np.testing.assert_array_equal(apply_B(u, co, ws16, sign=-1.0), -expect)
+
+
 def test_apply_B_hat_is_apply_B_on_spectra(grid16, ws16, rng):
     # white noise has Nyquist content, where the odd multiplier must vanish as in curl
     co = Coefficients.constant(grid16, 0.7, 1.9)
