@@ -352,6 +352,26 @@ def _validation_checks():
         ok = tr < 1e-10 and herm < 1e-10
         return ok, f"trace drift {tr:.2e}, hermiticity {herm:.2e}"
 
+    def check_bloch_ladder():
+        from . import BlochModel, pack_rho, unpack_rho
+        from .scenario import _ladder_dipole
+
+        levels = (0.0, 1.0, 2.1, 3.3, 4.6, 6.0)
+        d = _ladder_dipole(levels, (1.0, 0.8, 0.6, 0.5, 0.4), (0.6, 0.8, 0.0))
+        model = BlochModel(levels=levels, dipole=d, relax=0.2)
+        a = rng.standard_normal((6, 6, 9)) + 1j * rng.standard_normal((6, 6, 9))
+        rho = a + a.conj().transpose(1, 0, 2)
+        em = rng.standard_normal((6, 9))
+        got = unpack_rho(model.eval_F(pack_rho(rho), em), 6)
+        want = np.empty_like(rho)
+        for j in range(9):
+            ham = np.diag(levels) - np.einsum("a,aij->ij", em[3:6, j], d)
+            r = rho[:, :, j]
+            want[:, :, j] = -1j * (ham @ r - r @ ham) - 0.2 * (r - np.diag(np.diag(r)))
+        defect = np.abs(got - want).max() / np.abs(want).max()
+        ok = model.rank == 1 and defect <= 1e-13
+        return ok, f"factor rank {model.rank}, relative defect {defect:.2e}"
+
     def check_csv_bytes():
         import tempfile
 
@@ -372,6 +392,7 @@ def _validation_checks():
         ("modulus conservation and energy balance", check_modulus_and_energy),
         ("limit model emits constraint-consistent state", check_reduced_consistency),
         ("density-matrix trace and hermiticity", check_bloch_trace),
+        ("6-level ladder law matches the per-voxel commutator", check_bloch_ladder),
         ("CSV output is byte-deterministic", check_csv_bytes),
     ]
 

@@ -67,7 +67,6 @@ from .grid import (
     Grid3,
     extend_by_zero,
     matter_l2_norm,
-    restrict_to_domain,
     weighted_norm,
 )
 from .helmholtz import _curl_free_norm, constraint_residual, project_complement
@@ -208,6 +207,8 @@ class SimSystem:
         self.eta = float(eta)
         self.ws = FourierWorkspace(grid)
         self.slot = slice(0, 3) if model.em_slot == 1 else slice(3, 6)
+        # the coupled slot over the domain's bounding box, as one index
+        self._slot_box = (self.slot,) + domain.box
         self.kappa = coeffs.component(model.em_slot)
         self.kappa_d = self.kappa[domain.mask]
         self._work = threading.local()
@@ -276,8 +277,13 @@ class SimSystem:
         em[self.slot] = sample
         return self.model.eval_F(v, em)
 
+    def domain_sample(self, u: np.ndarray) -> np.ndarray:
+        """The coupled slot of a physical (6, n, n, n) field on the domain
+        voxels, (3, m), read through the bounding box."""
+        return u[self._slot_box][:, self.domain.cropped_mask]
+
     def matter_tendency(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.coupled_tendency(restrict_to_domain(u[self.slot], self.domain), v)
+        return self.coupled_tendency(self.domain_sample(u), v)
 
     def tendencies(
         self, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
@@ -294,7 +300,7 @@ class SimSystem:
         du = apply_B(u, self.coeffs, self.ws, out=out, sign=-1.0)
         if self.eta != 1.0:
             du *= 1.0 / self.eta
-        du[self.slot][:, self.domain.mask] += self.model.source_from_matter(
+        du[self._slot_box][:, self.domain.cropped_mask] += self.model.source_from_matter(
             f, self.kappa_d
         )
         return du, f
@@ -321,7 +327,7 @@ class SimSystem:
         """The coupled slot of the state's field on the domain voxels, (3, m):
         read off a physical field, or sampled from that slot's spectrum."""
         if state.u_hat is None:
-            return restrict_to_domain(state.u[self.slot], self.domain)
+            return self.domain_sample(state.u)
         return self.sample_hat(state.u_hat[self.slot])
 
     def em_norm(self, state: SimState) -> float:

@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .grid import cross
 
@@ -142,9 +143,12 @@ def unpack_rho(v: np.ndarray, n: int) -> np.ndarray:
 # 32 N^4 bytes) a model may build. Measured on one 2-core x86 KVM guest
 # with one BLAS thread: at N = 30 levels the generators take 26 MB and
 # build in 1.1 s (78 MB peak); at N = 38, the most this budget admits,
-# 67 MB in 3.4 s (200 MB peak), and one eval_F on 1088 voxels takes
-# 0.4 s. The build is O(N^6) and eval_F costs 4 N^4 multiply-adds per
-# voxel, so larger level counts are rejected before anything is built.
+# 67 MB in 2.4-3.2 s, the process peaking 224 MB above its size before
+# the build. The build is O(N^6), so larger level counts are rejected
+# before anything is built. eval_F costs the nonzeros of L0 plus rank
+# times those of a factor per voxel: on a ladder dipole (rank 1), one
+# eval_F on 1088 voxels takes 0.13 ms at N = 6 and 16 ms at N = 38,
+# where the four dense generators took 0.36 ms and 0.33 s.
 LIOUVILLIAN_BUDGET_BYTES = 64 * 2**20
 
 
@@ -178,8 +182,16 @@ class BlochModel(MatterModel):
 
     L0 packs -i [H0, .] - relax * offdiag(.) and L_a packs i [D_a, .].
     The four constant real (N^2, N^2) generators are built once, column
-    j being the law applied to the j-th packed basis vector, so eval_F
-    is one stacked matrix product. Each L_a is skew-symmetric (pack_rho
+    j being the law applied to the j-th packed basis vector, and kept
+    dense as ``generators``, the reference the structure checks read.
+    eval_F pays for their rank and nonzeros instead. The field
+    generators span ``rank`` r <= 3 dimensions (the rank of their
+    (3, N^4) stack under numpy's matrix_rank tolerance), so
+    L_a = sum_k coupling[k, a] M_k, and ``stack`` holds L0, M_1 ... M_r
+    as one CSR matrix: eval_F is one sparse product and r field-weighted
+    sums. A dipole polarization x ladder, the form the scenario parser
+    builds, has r = 1, and zero polarization r = 0; at 6 levels L0 holds
+    60 and M_1 100 of 1296 entries. Each L_a is skew-symmetric (pack_rho
     is an isometry and a commutator with a Hermitian matrix is
     skew-adjoint), and L0 is skew-symmetric up to -relax on the packed
     off-diagonal coordinates, so the growth constant is zero. The field
@@ -218,10 +230,25 @@ class BlochModel(MatterModel):
         for a in range(3):
             self.generators[a + 1] = pack_rho(1j * _commutator(d[a], basis))
         self._polarization = np.einsum("aij,jim->am", d, basis).real
+        field = self.generators[1:].reshape(3, -1)
+        # The field stack's singular values and left vectors are those of
+        # its 3 x 3 factor R^T (field = R^T Q^T), which spares a full SVD's
+        # (3, N^4) work copies; the rank is numpy's matrix_rank rule on them.
+        u, s, _ = np.linalg.svd(np.linalg.qr(field.T, mode="r").T)
+        self.rank = int(np.count_nonzero(s > s.max() * field.shape[1] * np.finfo(float).eps))
+        #: (rank, 3): the E-coefficient of each factor M_k, so L_a = sum_k coupling[k, a] M_k
+        self.coupling = u[:, : self.rank].T
+        # M = coupling @ field combines rows of the field generators, so an
+        # entry that is zero in all three stays exactly zero
+        factors = (self.coupling @ field).reshape(self.rank, self.dim, self.dim)
+        #: [L0; M_1 ... M_rank] as one ((1 + rank) N^2, N^2) CSR matrix
+        self.stack = scipy.sparse.csr_array(
+            np.concatenate([self.generators[:1], factors]).reshape(-1, self.dim)
+        )
 
     def eval_F(self, v: np.ndarray, em: np.ndarray) -> np.ndarray:
-        terms = (self.generators.reshape(-1, self.dim) @ v).reshape(4, self.dim, -1)
-        terms[1:] *= em[3:6, None, :]
+        terms = (self.stack @ v).reshape(1 + self.rank, self.dim, -1)
+        terms[1:] *= (self.coupling @ em[3:6])[:, None, :]
         return terms.sum(axis=0)
 
     def polarization(self, v: np.ndarray) -> np.ndarray:

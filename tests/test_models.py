@@ -307,12 +307,17 @@ class TestBloch:
             BlochModel(levels=(0.0, 1.0), dipole=good, relax=-1.0)
 
     def test_structure_probe(self, rng):
-        worst = check_structure(self.make(), rng, n_voxels=16)
-        assert worst["affine"] < 1e-11
-        assert worst["zero_state"] == 0.0
-        assert worst["growth_excess"] < 1e-11
-        assert worst["source_linear"] < 1e-12
-        assert worst["uncoupled_slot"] == 0.0
+        # the factored operator both on a full-rank dipole and on the
+        # scenario parser's polarization-times-ladder shape
+        levels, dipole, relax, _ = BLOCH_CASES["ladder6"]
+        ladder = BlochModel(levels=tuple(levels), dipole=dipole, relax=relax)
+        for model in (self.make(), ladder):
+            worst = check_structure(model, rng, n_voxels=16)
+            assert worst["affine"] < 1e-11
+            assert worst["zero_state"] == 0.0
+            assert worst["growth_excess"] < 1e-11
+            assert worst["source_linear"] < 1e-12
+            assert worst["uncoupled_slot"] == 0.0
 
 
 # ------------------------------------------- Bloch law as generators
@@ -354,15 +359,20 @@ def reference_bloch_law(levels, dipole, relax, rho, e):
 
 
 def _bloch_cases():
-    """(levels, dipole, relax) by name: random dipoles and the scenario ladder."""
+    """(levels, dipole, relax, rank of the field generators) by name: random
+    dipoles, the scenario ladder, two ladders summed, and no coupling."""
     rng = np.random.default_rng(7)
     cases = {
-        f"random{n}": (np.sort(rng.uniform(0.0, 5.0, n)), random_dipole(rng, n), 0.3 * n)
+        f"random{n}": (np.sort(rng.uniform(0.0, 5.0, n)), random_dipole(rng, n), 0.3 * n, 3)
         for n in (2, 3, 6)
     }
     levels = (0.0, 1.0, 2.1, 3.3, 4.6, 6.0)
     ladder = _ladder_dipole(levels, (1.0, 0.8, 0.6, 0.5, 0.4), (0.6, 0.8, 0.0))
-    cases["ladder6"] = (np.asarray(levels), ladder, 0.2)
+    cases["ladder6"] = (np.asarray(levels), ladder, 0.2, 1)
+    second = _ladder_dipole(levels, (0.2, 0.9, 0.1, 0.7, 0.3), (0.0, 0.6, 0.8))
+    cases["two_ladders6"] = (np.asarray(levels), ladder + second, 0.2, 2)
+    uncoupled = _ladder_dipole(levels, (1.0, 0.8, 0.6, 0.5, 0.4), (0.0, 0.0, 0.0))
+    cases["uncoupled6"] = (np.asarray(levels), uncoupled, 0.2, 0)
     return cases
 
 
@@ -372,8 +382,9 @@ BLOCH_CASES = _bloch_cases()
 class TestBlochGenerators:
     @pytest.mark.parametrize("case", sorted(BLOCH_CASES))
     def test_eval_F_and_polarization_match_per_voxel_reference(self, rng, case):
-        levels, dipole, relax = BLOCH_CASES[case]
+        levels, dipole, relax, rank = BLOCH_CASES[case]
         model = BlochModel(levels=tuple(levels), dipole=dipole, relax=relax)
+        assert model.rank == rank
         n, m = levels.size, 9
         rho = random_hermitian(rng, n, m)
         em = rng.standard_normal((6, m))
