@@ -34,12 +34,20 @@ With variable coefficients RK4 steps in physical space. A stage applies
 B per slot, a 3-vector forward transform, the curl multiplier, a
 3-vector inverse transform and the division by that slot's weight,
 writing into the stage's buffer: 48 scalar whole-grid transforms in 16
-calls per step. The stage buffers and the stage argument are work
-arrays that the system keeps per thread
-(:meth:`SimSystem._step_buffers`), and the stage sum accumulates in the
-first stage's buffer in the textbook order, so a step allocates no
-whole-field array but its result, which is bit-identical to the
-textbook expression.
+calls per step. The two output slots of a stage read only each other's
+input slot, so after the matter law has been evaluated on the calling
+thread, each slot's transforms and its share of the stage arithmetic
+run as one task, one of them on a single process-wide helper thread
+(:func:`_split`). The helper starts on first use, only on two or more
+usable cores, and a caller that cannot take it at once runs both tasks
+itself, so nested and concurrent steppers never wait for it. A task
+writes its slot of the next stage argument, which alternates between
+two buffers, so no task writes what the other still reads. The stage
+buffers and both stage arguments are work arrays that the system keeps
+per thread (:meth:`SimSystem._step_buffers`), and the stage sum
+accumulates in the first stage's buffer in the textbook order, so a
+step allocates no whole-field array but its result, which is
+bit-identical to the textbook expression with or without the helper.
 
 The divergence constraint is monitored, never enforced: the curl-free
 content of u - shift(v) is a linear functional annihilated by the exact
@@ -55,7 +63,10 @@ alone.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +88,7 @@ from .spectral import (
     MollifierSpec,
     apply_B,
     apply_B_hat,
+    apply_B_slot,
     spectral_weighted_norm,
 )
 
@@ -213,12 +225,16 @@ class SimSystem:
         self.kappa_d = self.kappa[domain.mask]
         self._work = threading.local()
 
-    def _step_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Three (6, n, n, n) work arrays that physical RK4 steps reuse.
+    def _step_buffers(self) -> tuple[np.ndarray, ...]:
+        """Four (6, n, n, n) work arrays that physical RK4 steps reuse: the
+        first stage's tendency, where the stage sum accumulates, the later
+        stages' tendency, and two stage arguments that alternate.
 
         They are made on first use and kept per thread, so copies of the
         system (:func:`quasistatic.with_eta`) share them only within one
-        thread, where steps run one at a time. Made afresh at every step
+        thread, where steps run one at a time. The helper thread of
+        :func:`_split` writes slot slices of the calling thread's arrays,
+        and only while that thread waits for it. Made afresh at every step
         they left the allocator growing and trimming its heap: a 32^3
         step took 964 or 3088-3664 minor page faults, depending on the
         heap's state, where kept ones take 0-364 (1732 with the fresh
@@ -226,7 +242,7 @@ class SimSystem:
         """
         bufs = getattr(self._work, "rk4", None)
         if bufs is None:
-            bufs = self._work.rk4 = tuple(np.empty((6,) + self.grid.shape) for _ in range(3))
+            bufs = self._work.rk4 = tuple(np.empty((6,) + self.grid.shape) for _ in range(4))
         return bufs
 
     def matter_state(self, v) -> np.ndarray:
@@ -304,6 +320,26 @@ class SimSystem:
             f, self.kappa_d
         )
         return du, f
+
+    def slot_tendency(
+        self, u: np.ndarray, dst: slice, out: np.ndarray, source: np.ndarray
+    ) -> np.ndarray:
+        """Slot ``dst`` of the field tendency of :meth:`tendencies`, written
+        into ``out[dst]`` and returned.
+
+        That is :func:`spectral.apply_B_slot` with the sign in its curl
+        multiplier, times 1/eta when eta is not 1, plus, in the coupled
+        slot, ``source`` on the domain voxels: the (3, m)
+        ``model.source_from_matter`` of the matter tendency. It reads only
+        the other slot of ``u``, so the two slots may be computed at once;
+        each is bit-identical to that slot of :meth:`tendencies`.
+        """
+        du = apply_B_slot(u, self.coeffs, self.ws, dst, out, sign=-1.0)
+        if self.eta != 1.0:
+            du *= 1.0 / self.eta
+        if dst == self.slot:
+            du[(slice(None),) + self.domain.box][:, self.domain.cropped_mask] += source
+        return du
 
     def tendencies_hat(
         self, u_hat: np.ndarray, v: np.ndarray, field: np.ndarray | None = None
@@ -402,39 +438,53 @@ def make_initial(
     return SimState(t=0.0, u=u, v=v_init.copy())
 
 
+# Stage i of RK4 (i = 0, 1, 2) feeds stage i + 1 the argument y + c_i dt k_i.
+_RK4_NODES = (0.5, 0.5, 1.0)
+
+
+def _rk4_update(i: int, k: np.ndarray, acc: np.ndarray, y: np.ndarray, out, dt: float):
+    """Stage ``i``'s share (i = 0..3) of the RK4 arithmetic of one array.
+
+    ``k`` is stage i's tendency and ``acc`` stage 0's, where the weighted
+    sum accumulates; ``y`` is only read. Stages 0-2 write the next stage
+    argument y + c k into ``out`` (c = dt/2, dt/2, dt), and stages 1 and 2
+    then add 2 k to ``acc``, doubling k in place. Stage 3 adds k, scales
+    by dt/6 and writes y + that sum into ``out``, or a new array when
+    ``out`` is None. Returns ``out``. The terms accumulate in the textbook
+    order, so the result is bit-identical to the textbook expression.
+    """
+    if i == 3:
+        np.add(acc, k, out=acc)
+        np.multiply(acc, dt / 6.0, out=acc)
+        return np.add(acc, y, out=out)
+    np.multiply(k, _RK4_NODES[i] * dt, out=out)
+    out += y
+    if i > 0:
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+    return out
+
+
 def _rk4(f, y: tuple, dt: float, k1: tuple | None = None, args: tuple | None = None) -> tuple:
     """One classical RK4 step of y' = f(*y) over a tuple of arrays;
     ``k1``, when the caller has it, is f(*y).
 
-    The arrays of ``y`` are only read. The stage arguments y + c k are
-    written into ``args``, buffers shaped like ``y`` (made here when not
-    given), and (k1 + 2 k2 + 2 k3 + k4) dt/6 accumulates in k1's arrays,
-    term by term in that order; the result is a new y + that sum, so it
-    is bit-identical to the textbook expression. Each stage value is used
-    up before f is called again, so f may return the same buffers at
-    every call after the first, but not k1's.
+    The arrays of ``y`` are only read. The stage arguments are written
+    into ``args``, buffers shaped like ``y`` (made here when not given),
+    and the stage sum accumulates in k1's arrays (:func:`_rk4_update`);
+    the result is new arrays. Each stage value is used up before f is
+    called again, so f may return the same buffers at every call after
+    the first, but not k1's.
     """
     if k1 is None:
         k1 = f(*y)
     if args is None:
         args = tuple(np.empty_like(a) for a in y)
-
-    def stage(k: tuple, c: float) -> tuple:
-        for arg, a, kk in zip(args, y, k):
-            np.multiply(kk, c, out=arg)
-            arg += a
-        return args
-
-    k = f(*stage(k1, 0.5 * dt))
-    for c in (0.5 * dt, dt):
-        stage(k, c)
-        for acc, kk in zip(k1, k):
-            np.add(acc, np.multiply(kk, 2.0, out=kk), out=acc)
+    k = k1
+    for i in range(3):
+        for kk, acc, a, arg in zip(k, k1, y, args):
+            _rk4_update(i, kk, acc, a, arg, dt)
         k = f(*args)
-    for acc, kk in zip(k1, k):
-        np.add(acc, kk, out=acc)
-        np.multiply(acc, dt / 6.0, out=acc)
-    return tuple(acc + a for acc, a in zip(k1, y))
+    return tuple(_rk4_update(3, kk, acc, a, None, dt) for kk, acc, a in zip(k, k1, y))
 
 
 def _sampler(stride: int, n_steps: int):
@@ -464,6 +514,59 @@ def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
     return np.asarray(times), np.asarray(values)
 
 
+# The helper thread of :func:`_split`, made on first use, and the lock
+# whose holder may hand it a task.
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread; it starts its own on first use."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _split(task, a, b) -> None:
+    """task(a) and task(b), the second on the helper thread when it is free.
+
+    The helper is one process-wide thread, started on first use and only
+    when the process has two or more usable cores. A caller takes it only
+    if it can without waiting; otherwise both tasks run here, one after
+    the other. So a process runs at most one extra thread, and nested or
+    concurrent callers cannot deadlock. The helper's task runs in a copy
+    of the caller's context, numpy's error state included, and an
+    exception of either task is raised here once both have finished.
+    """
+    global _helper
+    if _helper_lock.acquire(blocking=False):
+        try:
+            if _helper is None and _usable_cores() > 1:
+                _helper = ThreadPoolExecutor(1, thread_name_prefix="maxmat-helper")
+            if _helper is not None:
+                future = _helper.submit(contextvars.copy_context().run, task, b)
+                try:
+                    task(a)
+                finally:
+                    error = future.exception()
+                if error is not None:
+                    raise error
+                return
+        finally:
+            _helper_lock.release()
+    task(a)
+    task(b)
+
+
 def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     """One classical RK4 step of the whole system.
 
@@ -475,27 +578,61 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     6-component whole-grid forward transform, and stage 1 samples it
     without an inverse: 27. The result is spectral.
 
-    Variable coefficients step in physical space with per-slot
-    transforms into reused stage buffers: :meth:`SimSystem.tendencies`
-    writes B per slot (a 3-vector forward and inverse transform each)
-    into the first stage's buffer, where the stage sum accumulates, and
-    then into one buffer that the later stages share; the stage argument
-    has a third. All three are :meth:`SimSystem._step_buffers`. That is 16
-    calls and 48 scalar transforms per step, and the result is a new
-    array.
+    Variable coefficients step in physical space
+    (:func:`_variable_rk4_step`): per stage and slot a 3-vector forward
+    and inverse transform, 16 calls and 48 scalar transforms per step,
+    the two slots of a stage split over two threads. The result is a new
+    physical array.
     """
     if not system.coeffs.is_constant:
-        u, v = state.u, state.v
-        acc, stage, arg = system._step_buffers()
-        k1 = system.tendencies(u, v, out=acc)
-        un, vn = _rk4(
-            lambda u, v: system.tendencies(u, v, out=stage), (u, v), dt, k1, (arg, np.empty_like(v))
-        )
-        return SimState(state.t + dt, un, vn)
+        return _variable_rk4_step(system, state, dt)
     y = (state.spectrum(system.ws), state.v)
     k1 = system.tendencies_hat(*y, field=system.coupled_field(state))
     un_hat, vn = _rk4(system.tendencies_hat, y, dt, k1)
     return SimState.spectral(state.t + dt, un_hat, vn, system.ws)
+
+
+def _variable_rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
+    """:func:`_rk4` of :meth:`SimSystem.tendencies` on a physical state,
+    each stage's field work split into its two slots.
+
+    A stage evaluates the matter law on the coupled slot of its argument,
+    here on the calling thread. Then one task per output slot computes
+    that slot's tendency (:meth:`SimSystem.slot_tendency`: the forward
+    transform of the other slot of the argument, the curl multiplier, the
+    inverse transform, the division by the slot's weight, the 1/eta scale
+    and, in the coupled slot, the matter source) and that slot's share of
+    the stage arithmetic (:func:`_rk4_update`). :func:`_split` runs one
+    task on the helper thread when it is free. A task reads the other
+    slot of the argument and writes its own slot of the next one, so the
+    stage arguments alternate between two buffers and no task writes what
+    the other still reads. The tendencies go to the first stage's buffer,
+    where the sum accumulates, and then to one buffer the later stages
+    share; all four are :meth:`SimSystem._step_buffers`. Every array
+    operation is the one :func:`_rk4` makes on the same data, so the
+    result, a new array, is bit-identical to it with either thread count.
+    """
+    u, v = state.u, state.v
+    acc, k, *args = system._step_buffers()
+    un = np.empty_like(u)
+    x, w, w_arg = u, v, np.empty_like(v)
+    for i in range(4):
+        f = system.matter_tendency(x, w)
+        source = system.model.source_from_matter(f, system.kappa_d)
+        kk = acc if i == 0 else k
+        nxt = args[i % 2] if i < 3 else un
+
+        # runs before the loop moves on, so it sees this stage's names
+        def slot_stage(dst: slice) -> None:
+            system.slot_tendency(x, dst, kk, source)
+            _rk4_update(i, kk[dst], acc[dst], u[dst], nxt[dst], dt)
+
+        _split(slot_stage, slice(0, 3), slice(3, 6))
+        if i == 0:
+            f_acc = f
+        w = _rk4_update(i, f, f_acc, v, w_arg if i < 3 else None, dt)
+        x = nxt
+    return SimState(state.t + dt, un, w)
 
 
 def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:

@@ -222,26 +222,50 @@ def apply_B(
     Skew-adjoint in the weighted inner product for any positive, possibly
     space-dependent coefficients.
 
-    Each output slot is one 3-vector forward transform, the curl
-    multiplier, one 3-vector inverse transform and a division by its
-    coefficient, written into that slot of ``out``. ``out`` is a
-    (6, n, n, n) buffer that is written, never read, and returned; without
-    it a new one is made. ``sign`` (+1 or -1) returns sign * B u, with the
-    sign folded into the curl multiplier, which is exact.
+    The two output slots are two calls of :func:`apply_B_slot`, written
+    into ``out``, a (6, n, n, n) buffer that is written, never read, and
+    returned; without it a new one is made. ``sign`` (+1 or -1) returns
+    sign * B u, with the sign folded into the curl multiplier, which is
+    exact.
     """
     require_same_grid(state, coeffs.kappa1)
     if out is None:
         out = np.empty_like(state)
     # The two slots share one curl buffer: a fresh one per slot left the
     # allocator growing and trimming its heap, a page fault per page.
-    curl_hat = None
-    for dst, src, kappa, scale in (
-        (_SLOT1, _SLOT2, coeffs.kappa1, sign),
-        (_SLOT2, _SLOT1, coeffs.kappa2, -sign),
-    ):
-        curl_hat = ws.curl_hat(ws.forward(state[src]), scale, out=curl_hat)
-        np.divide(ws.inverse(curl_hat), kappa, out=out[dst])
+    curl_buf = np.empty((3,) + ws.spectral_shape, dtype=complex)
+    for dst in (_SLOT1, _SLOT2):
+        apply_B_slot(state, coeffs, ws, dst, out, sign, curl_buf)
     return out
+
+
+def apply_B_slot(
+    state: np.ndarray,
+    coeffs: Coefficients,
+    ws: FourierWorkspace,
+    dst: slice,
+    out: np.ndarray,
+    sign: float = 1.0,
+    curl_buf: np.ndarray | None = None,
+) -> np.ndarray:
+    """Slot ``dst`` (``slice(0, 3)`` or ``slice(3, 6)``) of sign * B u,
+    written into ``out[dst]`` and returned.
+
+    It reads only the other slot of ``state``: one 3-vector forward
+    transform, the curl multiplier with the sign folded in, one 3-vector
+    inverse transform and the division by slot ``dst``'s coefficient.
+    ``curl_buf`` is an optional (3, ...) half-spectrum scratch for the
+    curl; without it one is made. Calls for the two slots touch disjoint
+    memory, so they may run at once.
+    """
+    if dst == _SLOT1:
+        src, kappa, scale = _SLOT2, coeffs.kappa1, sign
+    elif dst == _SLOT2:
+        src, kappa, scale = _SLOT1, coeffs.kappa2, -sign
+    else:
+        raise ValueError(f"dst {dst}: expected slice(0, 3) or slice(3, 6)")
+    curl_hat = ws.curl_hat(ws.forward(state[src]), scale, out=curl_buf)
+    return np.divide(ws.inverse(curl_hat), kappa, out=out[dst])
 
 
 def apply_B_hat(state_hat: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np.ndarray:

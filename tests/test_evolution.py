@@ -5,6 +5,11 @@ precession against the analytic rotating solution, and two-level
 density-matrix dynamics against a dense matrix exponential.
 """
 
+import contextlib
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,7 @@ from maxmat import (
     unpack_rho,
     weighted_norm,
 )
+from maxmat import evolution
 from maxmat.evolution import _rk4
 from maxmat.models import MatterModel
 
@@ -399,6 +405,152 @@ def test_threads_step_one_variable_weight_system(ll_system, grid16, rng):
     for g, e in zip(got, expect):
         np.testing.assert_array_equal(g.u, e.u)
         np.testing.assert_array_equal(g.v, e.v)
+
+
+@contextlib.contextmanager
+def helper_held():
+    """Hold the step's helper thread, so that every slot split runs inline."""
+    with evolution._helper_lock:
+        yield
+
+
+def record_slot_threads(monkeypatch) -> list:
+    """Record (output slot start, thread name) of every slot tendency."""
+    calls = []
+    original = SimSystem.slot_tendency
+
+    def recording(self, u, dst, *args):
+        calls.append((dst.start, threading.current_thread().name))
+        return original(self, u, dst, *args)
+
+    monkeypatch.setattr(SimSystem, "slot_tendency", recording)
+    return calls
+
+
+def helper_ran(calls) -> bool:
+    return any(name.startswith("maxmat-helper") for _, name in calls)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_variable_rk4_step_is_bitwise_the_same_with_and_without_the_helper(
+    eta, ll_system, grid16, rng, monkeypatch
+):
+    sys_ = SimSystem(grid16, smooth_coefficients(grid16), ll_system.domain, ll_system.model,
+                     eta=eta)
+    state0 = make_initial(sys_, tilted_magnetization(sys_.domain),
+                          u_free=rng.standard_normal((6,) + grid16.shape))
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-3, scheme="rk4")
+    calls = record_slot_threads(monkeypatch)
+
+    def advance():
+        state = state0
+        for _ in range(3):
+            state = step(sys_, state, cfg)
+        return state
+
+    split = advance()
+    assert helper_ran(calls) == (evolution._usable_cores() > 1)
+    calls.clear()
+    with helper_held():
+        inline = advance()
+    assert not helper_ran(calls) and len(calls) == 3 * 4 * 2
+    assert split.u.tobytes() == inline.u.tobytes()
+    assert split.v.tobytes() == inline.v.tobytes()
+
+
+def test_helper_side_overflow_raises_in_the_caller(ll_system, grid16, rng, monkeypatch):
+    # slot 2 of B u reads slot 1; a huge slot 1 off the matter domain makes
+    # the curl multiplier of slot 2's task overflow, and nothing else
+    sys_ = SimSystem(grid16, smooth_coefficients(grid16), ll_system.domain, ll_system.model)
+    v = tilted_magnetization(sys_.domain)
+    huge = np.zeros((6,) + grid16.shape)
+    huge[0:3] = 1e305 * rng.standard_normal((3,) + grid16.shape)
+    huge[0:3][:, sys_.domain.mask] = 0.0
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-3, scheme="rk4")
+    calls = record_slot_threads(monkeypatch)
+    for hold in (contextlib.nullcontext, helper_held):
+        calls.clear()
+        with hold(), np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as raised:
+                step(sys_, SimState(0.0, huge, v), cfg)
+        assert helper_ran(calls) == (hold is contextlib.nullcontext
+                                     and evolution._usable_cores() > 1)
+        tb, raising = raised.tb, []
+        while tb is not None:
+            if tb.tb_frame.f_code.co_name == "slot_stage":
+                raising.append(tb.tb_frame.f_locals["dst"])
+            tb = tb.tb_next
+        assert raising == [slice(3, 6)]
+    assert not evolution._helper_lock.locked()
+    # the helper was given back: the next step splits again, bit for bit
+    normal = make_initial(sys_, v, u_free=rng.standard_normal((6,) + grid16.shape))
+    calls.clear()
+    with np.errstate(over="raise"):
+        split = step(sys_, normal, cfg)
+    assert helper_ran(calls) == (evolution._usable_cores() > 1)
+    with helper_held():
+        inline = step(sys_, normal, cfg)
+    assert split.u.tobytes() == inline.u.tobytes()
+    assert split.v.tobytes() == inline.v.tobytes()
+
+
+STEP_SCRIPT = """
+import os, threading
+{prelude}
+from maxmat import Coefficients, LandauLifschitzModel, SimState, SimSystem, Grid3, box_mask
+from maxmat import IntegratorConfig, evolution, step
+import numpy as np
+g = Grid3(8, 1.0)
+xx, yy, zz = g.meshgrid()
+co = Coefficients(1.5 + np.sin(2 * np.pi * xx), 1.5 + np.cos(2 * np.pi * yy))
+dom = box_mask(g, (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))
+model = LandauLifschitzModel(gyro=6.0, damping=0.5, aniso=1.0, axis=(0, 0, 1), h_ext=(0, 0, 2.0))
+sys_ = SimSystem(g, co, dom, model)
+v = np.tile([[0.6], [0.0], [0.8]], (1, dom.count))
+state = step(sys_, SimState(0.0, np.ones((6,) + g.shape), v), IntegratorConfig(1e-3, 1e-3))
+assert np.isfinite(state.u).all()
+print(threading.active_count(), evolution._helper is not None)
+"""
+
+
+def run_step_script(prelude: str = "", postlude: str = "") -> list:
+    """Run STEP_SCRIPT in a fresh interpreter; returns its printed words."""
+    src = str(Path(evolution.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = STEP_SCRIPT.format(prelude=prelude) + postlude
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_helper_does_not_hold_up_interpreter_exit():
+    threads, started = run_step_script()
+    assert started == str(evolution._usable_cores() > 1)
+    assert threads == ("2" if started == "True" else "1")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_forked_child_steps_with_a_helper_of_its_own():
+    # the parent's helper thread does not exist in a child; a child that
+    # handed it a task would wait for it forever (the alarm ends that)
+    postlude = (
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    import signal\n"
+        "    signal.alarm(20)\n"
+        "    state = step(sys_, state, IntegratorConfig(1e-3, 1e-3))\n"
+        "    os._exit(0 if np.isfinite(state.u).all() else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    assert run_step_script(postlude=postlude)[-1] == "0"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_usable_core_starts_no_helper():
+    assert run_step_script("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})") == [
+        "1", "False"]
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "lawson_exp"])

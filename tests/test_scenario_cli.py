@@ -1,5 +1,6 @@
 """Scenario parsing, the CLI surface, and its exit-code contract."""
 
+import contextlib
 import tracemalloc
 from pathlib import Path
 
@@ -382,6 +383,27 @@ class TestCli:
         fields, grid = load_fields(snaps[-1])
         assert fields.shape == (9, 16, 16, 16)
         assert grid.n == 16
+
+    def test_variable_weight_run_is_byte_identical_without_the_step_helper(self, tmp_path):
+        # the variable-weight RK4 step splits each stage's two slots over a
+        # helper thread when it can take it; held, both run inline
+        from maxmat import evolution
+
+        m = base_mapping()
+        m["coefficients"] = {"profile": "smooth_bump", "center": [0.5, 0.5, 0.5],
+                             "radius": 0.22, "amplitude1": 0.35, "amplitude2": 0.25,
+                             "width": 0.09}
+        m["initial"].update(u_seed="random_band", seed=7, band=3, amplitude=0.2)
+        m["integrator"].update(t_end=0.02, monitor_stride=5)
+        path = write_yaml(tmp_path, m, name="var.yaml")
+        blobs = []
+        for held in (False, True):
+            out = tmp_path / f"out_{held}"
+            with evolution._helper_lock if held else contextlib.nullcontext():
+                assert main(["run", str(path), "--out-dir", str(out)]) == 0
+            blobs.append((out / "var_monitor.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert len(blobs[0].decode().splitlines()) == 2 + 3  # schema, header, steps 0, 5, 10
 
     def test_reduced_exit_zero(self, tiny_yaml, tmp_path):
         out = tmp_path / "outr"
