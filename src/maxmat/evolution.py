@@ -40,14 +40,16 @@ thread, each slot's transforms and its share of the stage arithmetic
 run as one task, one of them on a single process-wide helper thread
 (:func:`_split`). The helper starts on first use, only on two or more
 usable cores, and a caller that cannot take it at once runs both tasks
-itself, so nested and concurrent steppers never wait for it. A task
-writes its slot of the next stage argument, which alternates between
-two buffers, so no task writes what the other still reads. The stage
-buffers and both stage arguments are work arrays that the system keeps
-per thread (:meth:`SimSystem._step_buffers`), and the stage sum
-accumulates in the first stage's buffer in the textbook order, so a
-step allocates no whole-field array but its result, which is
-bit-identical to the textbook expression with or without the helper.
+itself, so nested and concurrent steppers never wait for it. A task of
+a pool that already has a thread per usable core, such as the eta
+sweep's, runs both itself too (:func:`pool_context`). A task writes its
+slot of the next stage argument, which alternates between two buffers,
+so no task writes what the other still reads. The stage buffers, both
+stage arguments and a curl buffer per slot are work arrays that the
+system keeps per thread (:meth:`SimSystem._step_buffers`), and the
+stage sum accumulates in the first stage's buffer in the textbook
+order, so a step allocates no whole-field array but its result, which
+is bit-identical to the textbook expression with or without the helper.
 
 The divergence constraint is monitored, never enforced: the curl-free
 content of u - shift(v) is a linear functional annihilated by the exact
@@ -86,7 +88,6 @@ from .spectral import (
     FourierWorkspace,
     FreePropagator,
     MollifierSpec,
-    apply_B,
     apply_B_hat,
     apply_B_slot,
     spectral_weighted_norm,
@@ -226,23 +227,29 @@ class SimSystem:
         self._work = threading.local()
 
     def _step_buffers(self) -> tuple[np.ndarray, ...]:
-        """Four (6, n, n, n) work arrays that physical RK4 steps reuse: the
-        first stage's tendency, where the stage sum accumulates, the later
-        stages' tendency, and two stage arguments that alternate.
+        """Work arrays that physical RK4 steps reuse: four (6, n, n, n)
+        ones, the first stage's tendency, where the stage sum accumulates,
+        the later stages' tendency and two stage arguments that alternate,
+        then two (3, ...) half-spectrum curl buffers, one per output slot.
 
         They are made on first use and kept per thread, so copies of the
         system (:func:`quasistatic.with_eta`) share them only within one
         thread, where steps run one at a time. The helper thread of
-        :func:`_split` writes slot slices of the calling thread's arrays,
-        and only while that thread waits for it. Made afresh at every step
-        they left the allocator growing and trimming its heap: a 32^3
-        step took 964 or 3088-3664 minor page faults, depending on the
-        heap's state, where kept ones take 0-364 (1732 with the fresh
-        temporaries of textbook RK4), on a 2-core x86-64 guest.
+        :func:`_split` writes slot slices of the calling thread's field
+        arrays and one of its curl buffers, and only while that thread
+        waits for it. Made afresh at every step they left the allocator
+        growing and trimming its heap: a 32^3 step took 964 or 3088-3664
+        minor page faults, depending on the heap's state, where kept ones
+        take 0-364 (1732 with the fresh temporaries of textbook RK4), on a
+        2-core x86-64 guest.
         """
         bufs = getattr(self._work, "rk4", None)
         if bufs is None:
-            bufs = self._work.rk4 = tuple(np.empty((6,) + self.grid.shape) for _ in range(4))
+            curl_shape = (3,) + self.ws.spectral_shape
+            bufs = self._work.rk4 = tuple(
+                [np.empty((6,) + self.grid.shape) for _ in range(4)]
+                + [np.empty(curl_shape, dtype=complex) for _ in range(2)]
+            )
         return bufs
 
     def matter_state(self, v) -> np.ndarray:
@@ -307,34 +314,39 @@ class SimSystem:
         """Field and matter tendencies of a physical state.
 
         The field's, -(1/eta) B u plus the matter source, is written into
-        ``out``, a (6, n, n, n) buffer that is not read, or a new array.
-        The sign goes into :func:`apply_B`'s curl multiplier, and 1/eta
-        multiplies only when eta is not 1; both are exact, so the result
-        is bit-identical to multiplying B u by -1/eta.
+        ``out``, a (6, n, n, n) buffer that is not read, or a new array,
+        one :meth:`slot_tendency` per slot; the two share one curl buffer.
         """
         f = self.matter_tendency(u, v)
-        du = apply_B(u, self.coeffs, self.ws, out=out, sign=-1.0)
-        if self.eta != 1.0:
-            du *= 1.0 / self.eta
-        du[self._slot_box][:, self.domain.cropped_mask] += self.model.source_from_matter(
-            f, self.kappa_d
-        )
-        return du, f
+        source = self.model.source_from_matter(f, self.kappa_d)
+        if out is None:
+            out = np.empty_like(u)
+        curl_buf = np.empty((3,) + self.ws.spectral_shape, dtype=complex)
+        for dst in (slice(0, 3), slice(3, 6)):
+            self.slot_tendency(u, dst, out, source, curl_buf)
+        return out, f
 
     def slot_tendency(
-        self, u: np.ndarray, dst: slice, out: np.ndarray, source: np.ndarray
+        self,
+        u: np.ndarray,
+        dst: slice,
+        out: np.ndarray,
+        source: np.ndarray,
+        curl_buf: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Slot ``dst`` of the field tendency of :meth:`tendencies`, written
-        into ``out[dst]`` and returned.
+        """Slot ``dst`` of the field tendency, written into ``out[dst]``
+        and returned.
 
-        That is :func:`spectral.apply_B_slot` with the sign in its curl
-        multiplier, times 1/eta when eta is not 1, plus, in the coupled
-        slot, ``source`` on the domain voxels: the (3, m)
-        ``model.source_from_matter`` of the matter tendency. It reads only
-        the other slot of ``u``, so the two slots may be computed at once;
-        each is bit-identical to that slot of :meth:`tendencies`.
+        That is :func:`spectral.apply_B_slot` with the sign of -1/eta in
+        its curl multiplier, times 1/eta when eta is not 1, plus, in the
+        coupled slot, ``source`` on the domain voxels: the (3, m)
+        ``model.source_from_matter`` of the matter tendency. The sign and
+        the 1/eta factor are exact, so the result is bit-identical to
+        multiplying B u by -1/eta. It reads only the other slot of ``u``,
+        so the two slots may be computed at once, each with its own
+        ``curl_buf`` (see :func:`spectral.apply_B_slot`).
         """
-        du = apply_B_slot(u, self.coeffs, self.ws, dst, out, sign=-1.0)
+        du = apply_B_slot(u, self.coeffs, self.ws, dst, out, -1.0, curl_buf)
         if self.eta != 1.0:
             du *= 1.0 / self.eta
         if dst == self.slot:
@@ -514,16 +526,35 @@ def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
     return np.asarray(times), np.asarray(values)
 
 
-# The helper thread of :func:`_split`, made on first use, and the lock
-# whose holder may hand it a task.
+# The helper thread of :func:`_split`, made on first use, the lock whose
+# holder may hand it a task, and whether the current context may use it
+# at all (:func:`pool_context`).
 _helper: ThreadPoolExecutor | None = None
 _helper_lock = threading.Lock()
+_helper_allowed = contextvars.ContextVar("maxmat_step_helper", default=True)
 
 
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def pool_context(threads: int) -> contextvars.Context:
+    """A copy of the caller's context for one task of a pool of
+    ``threads`` threads.
+
+    When the pool alone gives every usable core a thread, :func:`_split`
+    keeps to the calling thread in the copy: the helper would only put
+    one thread more than there are cores to work. A variable-weight eta
+    sweep at 32^3 on a 2-thread pool of a 2-core x86-64 guest was slower
+    with the helper in 4 of 4 alternating pairs (median 19.3 s against
+    16.7 s without).
+    """
+    ctx = contextvars.copy_context()
+    if threads >= _usable_cores():
+        ctx.run(_helper_allowed.set, False)
+    return ctx
 
 
 def _forget_helper() -> None:
@@ -541,14 +572,16 @@ def _split(task, a, b) -> None:
 
     The helper is one process-wide thread, started on first use and only
     when the process has two or more usable cores. A caller takes it only
-    if it can without waiting; otherwise both tasks run here, one after
-    the other. So a process runs at most one extra thread, and nested or
-    concurrent callers cannot deadlock. The helper's task runs in a copy
-    of the caller's context, numpy's error state included, and an
+    if it can without waiting and its context allows it (not in a task of
+    a pool that fills the cores, :func:`pool_context`); otherwise both
+    tasks run here, one after the other. So a process runs at most one
+    extra thread, nested or concurrent callers cannot deadlock, and a
+    pool with a thread per core gets none. The helper's task runs in a
+    copy of the caller's context, numpy's error state included, and an
     exception of either task is raised here once both have finished.
     """
     global _helper
-    if _helper_lock.acquire(blocking=False):
+    if _helper_allowed.get() and _helper_lock.acquire(blocking=False):
         try:
             if _helper is None and _usable_cores() > 1:
                 _helper = ThreadPoolExecutor(1, thread_name_prefix="maxmat-helper")
@@ -608,12 +641,13 @@ def _variable_rk4_step(system: SimSystem, state: SimState, dt: float) -> SimStat
     stage arguments alternate between two buffers and no task writes what
     the other still reads. The tendencies go to the first stage's buffer,
     where the sum accumulates, and then to one buffer the later stages
-    share; all four are :meth:`SimSystem._step_buffers`. Every array
-    operation is the one :func:`_rk4` makes on the same data, so the
-    result, a new array, is bit-identical to it with either thread count.
+    share, and each slot's task has a curl buffer of its own; all are
+    :meth:`SimSystem._step_buffers`. Every array operation is the one
+    :func:`_rk4` makes on the same data, so the result, a new array, is
+    bit-identical to it with either thread count.
     """
     u, v = state.u, state.v
-    acc, k, *args = system._step_buffers()
+    acc, k, *args, curl1, curl2 = system._step_buffers()
     un = np.empty_like(u)
     x, w, w_arg = u, v, np.empty_like(v)
     for i in range(4):
@@ -623,11 +657,12 @@ def _variable_rk4_step(system: SimSystem, state: SimState, dt: float) -> SimStat
         nxt = args[i % 2] if i < 3 else un
 
         # runs before the loop moves on, so it sees this stage's names
-        def slot_stage(dst: slice) -> None:
-            system.slot_tendency(x, dst, kk, source)
+        def slot_stage(slot: tuple) -> None:
+            dst, curl_buf = slot
+            system.slot_tendency(x, dst, kk, source, curl_buf)
             _rk4_update(i, kk[dst], acc[dst], u[dst], nxt[dst], dt)
 
-        _split(slot_stage, slice(0, 3), slice(3, 6))
+        _split(slot_stage, (slice(0, 3), curl1), (slice(3, 6), curl2))
         if i == 0:
             f_acc = f
         w = _rk4_update(i, f, f_acc, v, w_arg if i < 3 else None, dt)

@@ -22,7 +22,6 @@ space.
 
 from __future__ import annotations
 
-import contextvars
 import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from .evolution import (
     SimSystem,
     _rk4_path,
     make_initial,
+    pool_context,
     run,
 )
 from .grid import ball_indicator, matter_l2_norm
@@ -225,15 +225,18 @@ def eta_convergence_study(
 
     The eta runs and the limit model share one pool of ``cfg.threads``
     threads, each task in a copy of the caller's context (numpy's error
-    state included). The runs are queued costliest first, that is in
-    increasing eta, and the limit model last, so that the longest run is
-    not the one that ends alone. The queue is first in, first out, so
-    once the limit model runs no eta run is left queued. An exception
-    from the limit model therefore propagates only after every eta run
-    has finished; before the limit model shared the pool it stopped the
-    study before any eta run began. Rows and deviation curves are built
-    after every run has finished, in ``cfg.eta_list`` order, so the
-    output is identical for any thread count.
+    state included) that keeps a variable-weight step off its helper
+    thread when the pool has a thread per usable core
+    (:func:`evolution.pool_context`). The runs are queued costliest
+    first, that is in increasing eta, and the limit model last, so that
+    the longest run is not the one that ends alone. The queue is first
+    in, first out, so once the limit model runs no eta run is left
+    queued. An exception from the limit model therefore propagates only
+    after every eta run has finished; before the limit model shared the
+    pool it stopped the study before any eta run began. Rows and
+    deviation curves are built after every run has finished, in
+    ``cfg.eta_list`` order, so the output is identical for any thread
+    count.
     """
     c = 0.5 * system.grid.box_len
     ball = ball_indicator(system.grid, (c, c, c), cfg.radius)
@@ -245,7 +248,7 @@ def eta_convergence_study(
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
 
         def submit(fn, *args):
-            return pool.submit(contextvars.copy_context().run, fn, *args)
+            return pool.submit(pool_context(cfg.threads).run, fn, *args)
 
         # eta_list is strictly decreasing and the step cap is linear in eta,
         # so the reversed list is costliest first

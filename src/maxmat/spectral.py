@@ -228,7 +228,6 @@ def apply_B(
     sign * B u, with the sign folded into the curl multiplier, which is
     exact.
     """
-    require_same_grid(state, coeffs.kappa1)
     if out is None:
         out = np.empty_like(state)
     # The two slots share one curl buffer: a fresh one per slot left the
@@ -258,6 +257,7 @@ def apply_B_slot(
     curl; without it one is made. Calls for the two slots touch disjoint
     memory, so they may run at once.
     """
+    require_same_grid(state, coeffs.kappa1)
     if dst == _SLOT1:
         src, kappa, scale = _SLOT2, coeffs.kappa1, sign
     elif dst == _SLOT2:

@@ -272,6 +272,40 @@ def test_eta_study_runs_costliest_first_and_the_limit_model_last(qs_system, monk
     assert [r["dt"] for r in res.rows] == [2e-3, 2e-3, 0.02 / 16, 0.02 / 32]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eta_study_pool_with_a_thread_per_core_keeps_the_step_helper_off(
+    threads, qs_system, grid16, monkeypatch
+):
+    # _eta_run rejects variable weights, so a stand-in takes one
+    # variable-weight step in each task and records the threads of its slots
+    import threading
+
+    import maxmat.quasistatic as qs
+    from maxmat import NumericalAbort, evolution, step
+
+    state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
+    var_sys = SimSystem(grid16, smooth_coefficients(grid16), qs_system.domain, qs_system.model)
+    var_state = make_initial(var_sys, tilted_magnetization(var_sys.domain))
+    names = []
+    real = SimSystem.slot_tendency
+
+    def recording(self, *args):
+        names.append(threading.current_thread().name)
+        return real(self, *args)
+
+    def eta_run(system, state, eta, cfg, ball):
+        step(var_sys, var_state, IntegratorConfig(dt=1e-3, t_end=1e-3, scheme="rk4"))
+        raise NumericalAbort("stand-in")
+
+    monkeypatch.setattr(SimSystem, "slot_tendency", recording)
+    monkeypatch.setattr(qs, "_eta_run", eta_run)
+    monkeypatch.setattr(evolution, "_usable_cores", lambda: 2)
+    res = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=threads, **SCHEDULE_KW))
+    assert all(r["failed"] for r in res.rows)
+    assert len(names) == 4 * 4 * 2  # 4 runs, 4 stages, 2 slots
+    assert any(n.startswith("maxmat-helper") for n in names) == (threads == 1)
+
+
 def test_eta_run_makes_no_physical_view(qs_system, monkeypatch):
     import maxmat.quasistatic as qs
 
