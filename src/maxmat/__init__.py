@@ -25,7 +25,6 @@ from .spectral import (
     FreePropagator,
     MollifierSpec,
     apply_B,
-    apply_B_hat,
     curl,
     mollify,
 )

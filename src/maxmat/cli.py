@@ -47,8 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="path to a scenario config file")
         p.add_argument("--out-dir", default=".", help="directory for CSV and snapshot output")
         if "snapshots" in flags:
+            snapshots_help = (
+                "write the final state's snapshot when STRIDE > 0 (0 = never)"
+                if name == "reduced" else "write field snapshots every STRIDE steps (0 = never)"
+            )
             p.add_argument("--snapshots", type=int, default=0, metavar="STRIDE",
-                           help="write field snapshots every STRIDE steps (0 = never)")
+                           help=snapshots_help)
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=None, metavar="U64",
                            help="override the field seed in the scenario")

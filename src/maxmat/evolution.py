@@ -10,19 +10,7 @@ whole right-hand side (CFL-limited), and a Lawson scheme that applies
 the exact free propagator to the stiff skew part and RK4 to the rest
 (constant coefficients only, no CFL).
 
-With constant coefficients both steppers keep the field in rfft layout:
-B and the free propagator are per-mode multipliers, and the matter law
-reads only the coupled 3-vector on the matter voxels. A stage transforms
-just that 3-vector, and only over the domain's bounding box: its inverse
-on the box for the matter law, and the forward transform of its source
-from a box-sized block (:meth:`SimSystem.sample_hat`,
-:meth:`SimSystem.source_hat`). So a step from a spectral state makes 24
-scalar 3-D transforms in 8 FFT calls, all of them box transforms (27
-from a physical state: its 6-component whole-grid forward transform, and
-its first stage samples it directly), and returns a spectral state. The Lawson
-step applies the half-step propagator four times, one of them to a
-3-vector and one computing only the coupled slot. A
-:class:`SimState` holds its field in one form, physical or spectral.
+A :class:`SimState` holds its field in one form, physical or spectral.
 :func:`run` checks finiteness on the form held and hands monitors and
 channels the state as held; only a snapshot gets a physical view. The
 standard readers work from either form: :meth:`SimSystem.em_norm` is a
@@ -30,26 +18,45 @@ Parseval sum on a spectrum, :meth:`SimSystem.coupled_field` a box
 inverse, and :meth:`SimSystem.constraint_residual` makes no whole-grid
 transform of a spectral state.
 
-With variable coefficients RK4 steps in physical space. A stage applies
-B per slot, a 3-vector forward transform, the curl multiplier, a
-3-vector inverse transform and the division by that slot's weight,
-writing into the stage's buffer: 48 scalar whole-grid transforms in 16
-calls per step. The two output slots of a stage read only each other's
-input slot, so after the matter law has been evaluated on the calling
-thread, each slot's transforms and its share of the stage arithmetic
-run as one task, one of them on a single process-wide helper thread
+The steppers run on the field in the form the weights allow. With
+constant coefficients it stays in rfft layout: B and the free
+propagator are per-mode multipliers, and the matter law reads only the
+coupled 3-vector on the matter voxels. A stage transforms just that
+3-vector, and only over the domain's bounding box: its inverse on the
+box for the matter law, and the forward transform of its source from a
+box-sized block (:meth:`SimSystem.sample`, :meth:`SimSystem.source_hat`).
+So a step from a spectral state makes 24 scalar 3-D transforms in 8 FFT
+calls, all of them box transforms (27 from a physical state: its
+6-component whole-grid forward transform, and its first stage samples
+it directly), and returns a spectral state. The Lawson step applies the
+half-step propagator four times, one of them to a 3-vector and one
+computing only the coupled slot. With variable coefficients only RK4
+steps, in physical space: B of one slot is a 3-vector forward
+transform, the curl multiplier, a 3-vector inverse transform and the
+division by that slot's weight, 48 scalar whole-grid transforms in 16
+calls per step.
+
+One RK4 step serves both forms (:func:`_rk4_step`). A stage evaluates
+the matter law and its source on the calling thread. The two output
+slots of B u read only each other's input slot, so then each slot's
+tendency (:meth:`SimSystem.slot_tendency`) and its share of the stage
+arithmetic run as one task, which writes its slot of the next stage
+argument; that argument alternates between two buffers, so no task
+writes what the other still reads. Physical slots split over two
+threads: one task runs on a single process-wide helper thread
 (:func:`_split`). The helper starts on first use, only on two or more
 usable cores, and a caller that cannot take it at once runs both tasks
 itself, so nested and concurrent steppers never wait for it. A task of
 a pool that already has a thread per usable core, such as the eta
-sweep's, runs both itself too (:func:`pool_context`). A task writes its
-slot of the next stage argument, which alternates between two buffers,
-so no task writes what the other still reads. The stage buffers, both
-stage arguments and a curl buffer per slot are work arrays that the
-system keeps per thread (:meth:`SimSystem._step_buffers`), and the
-stage sum accumulates in the first stage's buffer in the textbook
-order, so a step allocates no whole-field array but its result, which
-is bit-identical to the textbook expression with or without the helper.
+sweep's, runs both itself too (:func:`pool_context`). Spectral slots,
+a multiplier each, run one after the other on the calling thread. The
+stage buffers and both stage arguments, shaped to the form, and in
+physical form a curl buffer per slot, are work arrays that the system
+keeps per thread (:meth:`SimSystem._step_buffers`). The stage sum
+accumulates in the first stage's buffer in the textbook order, so the
+only six-component field a step allocates is its result (and the
+spectrum of a physical state on constant weights), which is
+bit-identical to the textbook expression with or without the helper.
 
 The divergence constraint is monitored, never enforced: the curl-free
 content of u - shift(v) is a linear functional annihilated by the exact
@@ -88,7 +95,6 @@ from .spectral import (
     FourierWorkspace,
     FreePropagator,
     MollifierSpec,
-    apply_B_hat,
     apply_B_slot,
     spectral_weighted_norm,
 )
@@ -227,10 +233,13 @@ class SimSystem:
         self._work = threading.local()
 
     def _step_buffers(self) -> tuple[np.ndarray, ...]:
-        """Work arrays that physical RK4 steps reuse: four (6, n, n, n)
-        ones, the first stage's tendency, where the stage sum accumulates,
-        the later stages' tendency and two stage arguments that alternate,
-        then two (3, ...) half-spectrum curl buffers, one per output slot.
+        """Work arrays that RK4 steps reuse, in the form the weights step
+        in (spectral on constant weights, physical on variable ones): four
+        (6, ...) fields, the first stage's tendency, where the stage sum
+        accumulates, the later stages' tendency and two stage arguments
+        that alternate, then one curl buffer per output slot, a (3, ...)
+        half-spectrum in physical form and None in spectral form, where
+        B's multiplier writes straight into the tendency.
 
         They are made on first use and kept per thread, so copies of the
         system (:func:`quasistatic.with_eta`) share them only within one
@@ -238,18 +247,23 @@ class SimSystem:
         :func:`_split` writes slot slices of the calling thread's field
         arrays and one of its curl buffers, and only while that thread
         waits for it. Made afresh at every step they left the allocator
-        growing and trimming its heap: a 32^3 step took 964 or 3088-3664
-        minor page faults, depending on the heap's state, where kept ones
-        take 0-364 (1732 with the fresh temporaries of textbook RK4), on a
-        2-core x86-64 guest.
+        growing and trimming its heap: a 32^3 physical step took 964 or
+        3088-3664 minor page faults, depending on the heap's state, where
+        kept ones take 0-364 (1732 with the fresh temporaries of textbook
+        RK4), on a 2-core x86-64 guest. The fields, and the curl buffers,
+        are one allocation each: with four and two, a 32^3 physical step
+        of three 60-step runs in one process took 44 minor faults, with
+        one each 23.
         """
         bufs = getattr(self._work, "rk4", None)
         if bufs is None:
-            curl_shape = (3,) + self.ws.spectral_shape
-            bufs = self._work.rk4 = tuple(
-                [np.empty((6,) + self.grid.shape) for _ in range(4)]
-                + [np.empty(curl_shape, dtype=complex) for _ in range(2)]
-            )
+            if self.coeffs.is_constant:
+                fields = np.empty((4, 6) + self.ws.spectral_shape, dtype=complex)
+                curls = (None, None)
+            else:
+                fields = np.empty((4, 6) + self.grid.shape)
+                curls = tuple(np.empty((2, 3) + self.ws.spectral_shape, dtype=complex))
+            bufs = self._work.rk4 = (*fields, *curls)
         return bufs
 
     def matter_state(self, v) -> np.ndarray:
@@ -300,13 +314,16 @@ class SimSystem:
         em[self.slot] = sample
         return self.model.eval_F(v, em)
 
-    def domain_sample(self, u: np.ndarray) -> np.ndarray:
-        """The coupled slot of a physical (6, n, n, n) field on the domain
-        voxels, (3, m), read through the bounding box."""
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """The coupled slot of a (6, ...) field on the domain voxels, (3, m):
+        read off a physical field through the bounding box, or sampled
+        from that slot of a spectrum (:meth:`sample_hat`)."""
+        if np.iscomplexobj(u):
+            return self.sample_hat(u[self.slot])
         return u[self._slot_box][:, self.domain.cropped_mask]
 
     def matter_tendency(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.coupled_tendency(self.domain_sample(u), v)
+        return self.coupled_tendency(self.sample(u), v)
 
     def tendencies(
         self, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
@@ -334,49 +351,33 @@ class SimSystem:
         source: np.ndarray,
         curl_buf: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Slot ``dst`` of the field tendency, written into ``out[dst]``
-        and returned.
+        """Slot ``dst`` of the field tendency of ``u``, a physical field or,
+        on constant weights, its spectrum, written into ``out[dst]`` (same
+        form) and returned.
 
         That is :func:`spectral.apply_B_slot` with the sign of -1/eta in
         its curl multiplier, times 1/eta when eta is not 1, plus, in the
-        coupled slot, ``source`` on the domain voxels: the (3, m)
-        ``model.source_from_matter`` of the matter tendency. The sign and
-        the 1/eta factor are exact, so the result is bit-identical to
-        multiplying B u by -1/eta. It reads only the other slot of ``u``,
-        so the two slots may be computed at once, each with its own
-        ``curl_buf`` (see :func:`spectral.apply_B_slot`).
+        coupled slot, the matter source: for a physical field ``source``
+        is the (3, m) ``model.source_from_matter`` of the matter tendency,
+        added on the domain voxels, and for a spectrum its
+        :meth:`source_hat`. The sign and the 1/eta factor are exact, so the
+        result is bit-identical to multiplying B u by -1/eta. It reads only
+        the other slot of ``u``, so the two slots may be computed at once,
+        each with its own ``curl_buf`` (see :func:`spectral.apply_B_slot`).
         """
         du = apply_B_slot(u, self.coeffs, self.ws, dst, out, -1.0, curl_buf)
         if self.eta != 1.0:
             du *= 1.0 / self.eta
         if dst == self.slot:
-            du[(slice(None),) + self.domain.box][:, self.domain.cropped_mask] += source
+            if np.iscomplexobj(du):
+                du += source
+            else:
+                du[(slice(None),) + self.domain.box][:, self.domain.cropped_mask] += source
         return du
 
-    def tendencies_hat(
-        self, u_hat: np.ndarray, v: np.ndarray, field: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`tendencies` with the field in rfft layout; constant coefficients only.
-
-        Only the coupled slot is transformed, and only over the domain's
-        bounding box: its inverse for the matter law, unless the caller
-        passes the (3, m) sample as ``field``, and the forward transform
-        of the field source it feeds.
-        """
-        if field is None:
-            field = self.sample_hat(u_hat[self.slot])
-        f = self.coupled_tendency(field, v)
-        du = apply_B_hat(u_hat, self.coeffs, self.ws)
-        du *= -1.0 / self.eta
-        du[self.slot] += self.source_hat(f)
-        return du, f
-
     def coupled_field(self, state: "SimState") -> np.ndarray:
-        """The coupled slot of the state's field on the domain voxels, (3, m):
-        read off a physical field, or sampled from that slot's spectrum."""
-        if state.u_hat is None:
-            return self.domain_sample(state.u)
-        return self.sample_hat(state.u_hat[self.slot])
+        """:meth:`sample` of the state's field in the form held."""
+        return self.sample(state.u if state.u_hat is None else state.u_hat)
 
     def em_norm(self, state: SimState) -> float:
         """Weighted norm of the state's field, from the form held: a Parseval
@@ -476,21 +477,18 @@ def _rk4_update(i: int, k: np.ndarray, acc: np.ndarray, y: np.ndarray, out, dt: 
     return out
 
 
-def _rk4(f, y: tuple, dt: float, k1: tuple | None = None, args: tuple | None = None) -> tuple:
-    """One classical RK4 step of y' = f(*y) over a tuple of arrays;
-    ``k1``, when the caller has it, is f(*y).
+def _rk4(f, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of y' = f(*y) over a tuple of arrays.
 
     The arrays of ``y`` are only read. The stage arguments are written
-    into ``args``, buffers shaped like ``y`` (made here when not given),
-    and the stage sum accumulates in k1's arrays (:func:`_rk4_update`);
-    the result is new arrays. Each stage value is used up before f is
-    called again, so f may return the same buffers at every call after
-    the first, but not k1's.
+    into one set of buffers shaped like ``y``, and the stage sum
+    accumulates in k1's arrays (:func:`_rk4_update`); the result is new
+    arrays. Each stage value is used up before f is called again, so f
+    may return the same buffers at every call after the first, but not
+    k1's.
     """
-    if k1 is None:
-        k1 = f(*y)
-    if args is None:
-        args = tuple(np.empty_like(a) for a in y)
+    k1 = f(*y)
+    args = tuple(np.empty_like(a) for a in y)
     k = k1
     for i in range(3):
         for kk, acc, a, arg in zip(k, k1, y, args):
@@ -601,58 +599,53 @@ def _split(task, a, b) -> None:
 
 
 def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
-    """One classical RK4 step of the whole system.
+    """One classical RK4 step of the whole system, in the field form the
+    weights allow.
 
-    With constant coefficients B is a per-mode multiplier, so the stages
-    run on the rfft-layout field and a stage transforms only the coupled
-    3-vector over the domain's bounding box
-    (:meth:`SimSystem.tendencies_hat`): 4 * (3 + 3) = 24 scalar box
-    transforms from a spectral state. A physical state adds its
-    6-component whole-grid forward transform, and stage 1 samples it
-    without an inverse: 27. The result is spectral.
+    On constant weights B is a per-mode multiplier, so the stages run on
+    the rfft-layout field and a stage transforms only the coupled 3-vector
+    over the domain's bounding box: its inverse for the matter law and
+    the forward transform of its source (:meth:`SimSystem.sample`,
+    :meth:`SimSystem.source_hat`), 4 * (3 + 3) = 24 scalar box transforms
+    from a spectral state. A physical state adds its 6-component
+    whole-grid forward transform, and stage 1 samples it without an
+    inverse: 27. The result is spectral. On variable weights the stages
+    run on the physical field: per stage and slot a 3-vector forward and
+    inverse transform, 16 calls and 48 scalar transforms per step. The
+    result is physical.
 
-    Variable coefficients step in physical space
-    (:func:`_variable_rk4_step`): per stage and slot a 3-vector forward
-    and inverse transform, 16 calls and 48 scalar transforms per step,
-    the two slots of a stage split over two threads. The result is a new
-    physical array.
+    A stage evaluates the matter law at the coupled sample of its
+    argument and the source that the matter tendency feeds, on the calling
+    thread. Then one task per output slot computes that slot's tendency
+    (:meth:`SimSystem.slot_tendency`: B's slot with the sign of -1/eta,
+    the 1/eta scale and, in the coupled slot, the source) and that slot's
+    share of the stage arithmetic (:func:`_rk4_update`). A task reads the
+    other slot of the argument and writes its own slot of the next one,
+    so the stage arguments alternate between two buffers and no task
+    writes what the other still reads. Physical slots go through
+    :func:`_split`, which runs one task on the helper thread when it is
+    free. Spectral slots, a multiplier each, run here: handing one over
+    costs more than it saves (a 6-level Bloch step at 16^3, median of 200
+    steps in each of 8 runs, took 5.0-7.6 ms split and 3.7-5.4 ms inline
+    on a 2-core x86-64 guest). The tendencies go to the first
+    stage's buffer, where the sum accumulates, and then to one buffer the
+    later stages share; all are :meth:`SimSystem._step_buffers`. The
+    stage arithmetic is :func:`_rk4`'s (:func:`_rk4_update`) and B's sign
+    and 1/eta are exact, so the result, a new array, is bit-identical to
+    the textbook step in either form, with either thread count.
     """
-    if not system.coeffs.is_constant:
-        return _variable_rk4_step(system, state, dt)
-    y = (state.spectrum(system.ws), state.v)
-    k1 = system.tendencies_hat(*y, field=system.coupled_field(state))
-    un_hat, vn = _rk4(system.tendencies_hat, y, dt, k1)
-    return SimState.spectral(state.t + dt, un_hat, vn, system.ws)
-
-
-def _variable_rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
-    """:func:`_rk4` of :meth:`SimSystem.tendencies` on a physical state,
-    each stage's field work split into its two slots.
-
-    A stage evaluates the matter law on the coupled slot of its argument,
-    here on the calling thread. Then one task per output slot computes
-    that slot's tendency (:meth:`SimSystem.slot_tendency`: the forward
-    transform of the other slot of the argument, the curl multiplier, the
-    inverse transform, the division by the slot's weight, the 1/eta scale
-    and, in the coupled slot, the matter source) and that slot's share of
-    the stage arithmetic (:func:`_rk4_update`). :func:`_split` runs one
-    task on the helper thread when it is free. A task reads the other
-    slot of the argument and writes its own slot of the next one, so the
-    stage arguments alternate between two buffers and no task writes what
-    the other still reads. The tendencies go to the first stage's buffer,
-    where the sum accumulates, and then to one buffer the later stages
-    share, and each slot's task has a curl buffer of its own; all are
-    :meth:`SimSystem._step_buffers`. Every array operation is the one
-    :func:`_rk4` makes on the same data, so the result, a new array, is
-    bit-identical to it with either thread count.
-    """
-    u, v = state.u, state.v
+    spectral = system.coeffs.is_constant
+    u = state.spectrum(system.ws) if spectral else state.u
+    v = state.v
     acc, k, *args, curl1, curl2 = system._step_buffers()
     un = np.empty_like(u)
     x, w, w_arg = u, v, np.empty_like(v)
     for i in range(4):
-        f = system.matter_tendency(x, w)
-        source = system.model.source_from_matter(f, system.kappa_d)
+        f = system.coupled_tendency(system.coupled_field(state) if i == 0 else system.sample(x), w)
+        if spectral:
+            source = system.source_hat(f)
+        else:
+            source = system.model.source_from_matter(f, system.kappa_d)
         kk = acc if i == 0 else k
         nxt = args[i % 2] if i < 3 else un
 
@@ -662,11 +655,18 @@ def _variable_rk4_step(system: SimSystem, state: SimState, dt: float) -> SimStat
             system.slot_tendency(x, dst, kk, source, curl_buf)
             _rk4_update(i, kk[dst], acc[dst], u[dst], nxt[dst], dt)
 
-        _split(slot_stage, (slice(0, 3), curl1), (slice(3, 6), curl2))
+        slots = (slice(0, 3), curl1), (slice(3, 6), curl2)
+        if spectral:
+            for slot in slots:
+                slot_stage(slot)
+        else:
+            _split(slot_stage, *slots)
         if i == 0:
             f_acc = f
         w = _rk4_update(i, f, f_acc, v, w_arg if i < 3 else None, dt)
         x = nxt
+    if spectral:
+        return SimState.spectral(state.t + dt, un, w, system.ws)
     return SimState(state.t + dt, un, w)
 
 

@@ -222,8 +222,10 @@ def apply_B(
     Skew-adjoint in the weighted inner product for any positive, possibly
     space-dependent coefficients.
 
-    The two output slots are two calls of :func:`apply_B_slot`, written
-    into ``out``, a (6, n, n, n) buffer that is written, never read, and
+    ``state`` is a physical (6, n, n, n) field or, on constant weights,
+    its rfft-layout spectrum; the result has the same form. The two
+    output slots are two calls of :func:`apply_B_slot`, written into
+    ``out``, a buffer like ``state`` that is written, never read, and
     returned; without it a new one is made. ``sign`` (+1 or -1) returns
     sign * B u, with the sign folded into the curl multiplier, which is
     exact.
@@ -231,8 +233,11 @@ def apply_B(
     if out is None:
         out = np.empty_like(state)
     # The two slots share one curl buffer: a fresh one per slot left the
-    # allocator growing and trimming its heap, a page fault per page.
-    curl_buf = np.empty((3,) + ws.spectral_shape, dtype=complex)
+    # allocator growing and trimming its heap, a page fault per page. A
+    # spectrum needs none.
+    curl_buf = None
+    if not np.iscomplexobj(state):
+        curl_buf = np.empty((3,) + ws.spectral_shape, dtype=complex)
     for dst in (_SLOT1, _SLOT2):
         apply_B_slot(state, coeffs, ws, dst, out, sign, curl_buf)
     return out
@@ -250,35 +255,34 @@ def apply_B_slot(
     """Slot ``dst`` (``slice(0, 3)`` or ``slice(3, 6)``) of sign * B u,
     written into ``out[dst]`` and returned.
 
-    It reads only the other slot of ``state``: one 3-vector forward
-    transform, the curl multiplier with the sign folded in, one 3-vector
-    inverse transform and the division by slot ``dst``'s coefficient.
+    It reads only the other slot of ``state``, in the form given. A
+    physical (6, n, n, n) field takes one 3-vector forward transform, the
+    curl multiplier with the sign folded in, one 3-vector inverse
+    transform and the division by slot ``dst``'s coefficient;
     ``curl_buf`` is an optional (3, ...) half-spectrum scratch for the
-    curl; without it one is made. Calls for the two slots touch disjoint
-    memory, so they may run at once.
+    curl, made here when not given. A complex (6, ...) rfft-layout
+    spectrum, on constant weights only, takes the curl multiplier with
+    sign / k folded in, written straight into ``out[dst]``, and no
+    transform; ``curl_buf`` is not used. Calls for the two slots touch
+    disjoint memory, so they may run at once.
     """
-    require_same_grid(state, coeffs.kappa1)
     if dst == _SLOT1:
-        src, kappa, scale = _SLOT2, coeffs.kappa1, sign
+        src, c, scale = _SLOT2, 0, sign
     elif dst == _SLOT2:
-        src, kappa, scale = _SLOT1, coeffs.kappa2, -sign
+        src, c, scale = _SLOT1, 1, -sign
     else:
         raise ValueError(f"dst {dst}: expected slice(0, 3) or slice(3, 6)")
+    if np.iscomplexobj(state):
+        if state.shape[-3:] != ws.spectral_shape:
+            raise ValueError(
+                f"spectrum of shape {state.shape} does not match the workspace's "
+                f"{ws.spectral_shape}"
+            )
+        return ws.curl_hat(state[src], scale / coeffs.constant_values()[c], out=out[dst])
+    require_same_grid(state, coeffs.kappa1)
+    kappa = (coeffs.kappa1, coeffs.kappa2)[c]
     curl_hat = ws.curl_hat(ws.forward(state[src]), scale, out=curl_buf)
     return np.divide(ws.inverse(curl_hat), kappa, out=out[dst])
-
-
-def apply_B_hat(state_hat: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np.ndarray:
-    """:func:`apply_B` on an rfft-layout (6, ...) stack, constant weights only.
-
-    There B is the per-mode multiplier (i xi ^ u2 / k1, -i xi ^ u1 / k2),
-    so no transform is needed.
-    """
-    k1, k2 = coeffs.constant_values()
-    out = np.empty_like(state_hat)
-    ws.curl_hat(state_hat[_SLOT2], 1.0 / k1, out=out[_SLOT1])
-    ws.curl_hat(state_hat[_SLOT1], -1.0 / k2, out=out[_SLOT2])
-    return out
 
 
 class FreePropagator:

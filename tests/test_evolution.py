@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import yaml
 
 from maxmat import (
     BlochModel,
@@ -33,11 +34,14 @@ from maxmat import (
     make_initial,
     matter_l2_norm,
     pack_rho,
+    parse_scenario,
+    project_complement,
     restrict_to_domain,
     run,
     run_reduced,
     step,
     unpack_rho,
+    weighted_inner,
     weighted_norm,
 )
 from maxmat import evolution
@@ -277,6 +281,18 @@ def test_spectral_rk4_step_matches_physical_reference(kind, ll_system, grid16, r
     assert np.abs(step(sys_, unlit, cfg).v - step(sys_, state0, cfg).v).max() > 1e-9
 
 
+def _textbook_rk4(rhs, y, dt):
+    """The textbook expression of one classical RK4 step of y' = rhs(*y)."""
+    k1 = rhs(*y)
+    k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
+    return tuple(
+        a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+    )
+
+
 def _textbook_rk4_step(sys_, u, v, dt, kappa1, kappa2):
     """Classical RK4 of the whole system with B written out: two curl
     calls divided by the weights, then -1/eta, and the textbook sum."""
@@ -290,15 +306,25 @@ def _textbook_rk4_step(sys_, u, v, dt, kappa1, kappa2):
         du[sys_.slot][:, sys_.domain.mask] += sys_.model.source_from_matter(f, sys_.kappa_d)
         return du, f
 
-    y = (u, v)
-    k1 = rhs(*y)
-    k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
-    return tuple(
-        a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
-        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-    )
+    return _textbook_rk4(rhs, (u, v), dt)
+
+
+def _textbook_spectral_rk4_step(sys_, u_hat, v, dt, kappa1, kappa2):
+    """Classical RK4 of the whole system on spectra with B written out: a
+    curl multiplier per slot scaled by that slot's 1/kappa, then -1/eta,
+    the source's spectrum in the coupled slot, and the textbook sum."""
+    ws = sys_.ws
+
+    def rhs(u_hat, v):
+        f = sys_.coupled_tendency(sys_.sample_hat(u_hat[sys_.slot]), v)
+        du = np.empty_like(u_hat)
+        du[0:3] = ws.curl_hat(u_hat[3:6], 1.0 / kappa1)
+        du[3:6] = ws.curl_hat(u_hat[0:3], -1.0 / kappa2)
+        du *= -1.0 / sys_.eta
+        du[sys_.slot] += sys_.source_hat(f)
+        return du, f
+
+    return _textbook_rk4(rhs, (u_hat, v), dt)
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.5, 0.3])
@@ -321,6 +347,38 @@ def test_variable_rk4_step_is_bitwise_the_textbook_step(eta, ll_system, grid16, 
     np.testing.assert_array_equal(state.v, ref[1])
     # not vacuous: the reference tells the two weights apart
     assert not np.array_equal(state.u, swapped[0])
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("kind", ["landau_lifschitz", "bloch"])
+def test_constant_rk4_step_is_bitwise_the_textbook_spectral_step(kind, eta, ll_system, grid16, rng):
+    # the per-slot multipliers fold -1 into the curl scale and multiply by
+    # 1/eta only when eta is not 1; negation is exact, so the step is the
+    # textbook one to the bit. The Bloch system couples through slot 2.
+    if kind == "bloch":
+        sys_ = _bloch_system(grid16, eta=eta)
+        rho = np.zeros((3, 3, sys_.domain.count), dtype=complex)
+        rho[0, 0] = rho[1, 1] = rho[0, 1] = rho[1, 0] = 0.5
+        v0 = pack_rho(rho)
+    else:
+        co = Coefficients.constant(grid16, 0.7, 1.9)
+        sys_ = SimSystem(grid16, co, ll_system.domain, ll_system.model, eta=eta)
+        v0 = tilted_magnetization(sys_.domain)
+    k1, k2 = sys_.coeffs.constant_values()
+    state = make_initial(sys_, v0, u_free=rng.standard_normal((6,) + grid16.shape))
+    state = SimState.spectral(0.0, sys_.ws.forward(state.u), state.v, sys_.ws)
+    cfg = IntegratorConfig(dt=2e-3, t_end=2e-3, scheme="rk4")
+    ref = swapped = (state.u_hat, state.v)
+    for _ in range(3):
+        state = step(sys_, state, cfg)
+        ref = _textbook_spectral_rk4_step(sys_, *ref, cfg.dt, k1, k2)
+        swapped = _textbook_spectral_rk4_step(sys_, *swapped, cfg.dt, k2, k1)
+    assert state.u_hat is not None
+    np.testing.assert_array_equal(state.u_hat, ref[0])
+    np.testing.assert_array_equal(state.v, ref[1])
+    # not vacuous: the reference tells the two weights apart, and the matter moved
+    assert not np.array_equal(state.u_hat, swapped[0])
+    assert np.abs(state.v - v0).max() > 1e-6
 
 
 def test_variable_rk4_step_makes_16_whole_grid_3_vector_transforms(
@@ -366,13 +424,15 @@ def test_steps_leave_the_states_they_read_and_return_unchanged(form, ll_system, 
         assert not np.array_equal(states[-1].v, state0.v)
 
 
-def test_threads_step_one_variable_weight_system(ll_system, grid16, rng):
-    # the work buffers of the physical RK4 step are per thread, so threads
-    # may step one system (or its with_eta copies) at once
+@pytest.mark.parametrize("weights", ["variable", "constant"])
+def test_threads_step_one_system(weights, ll_system, grid16, rng):
+    # the work buffers of the RK4 step, physical or spectral, are per
+    # thread, so threads may step one system (or its with_eta copies) at once
     import sys
     import threading
 
-    sys_ = SimSystem(grid16, smooth_coefficients(grid16), ll_system.domain, ll_system.model)
+    co = smooth_coefficients(grid16) if weights == "variable" else ll_system.coeffs
+    sys_ = SimSystem(grid16, co, ll_system.domain, ll_system.model)
     starts = [
         make_initial(sys_, tilted_magnetization(sys_.domain, tilt=t),
                      u_free=rng.standard_normal((6,) + grid16.shape))
@@ -402,9 +462,10 @@ def test_threads_step_one_variable_weight_system(ll_system, grid16, rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
+    assert all((e.u_hat is None) == (weights == "variable") for e in expect)
     for g, e in zip(got, expect):
-        np.testing.assert_array_equal(g.u, e.u)
-        np.testing.assert_array_equal(g.v, e.v)
+        for a, b in zip(_held(g), _held(e)):
+            np.testing.assert_array_equal(a, b)
 
 
 @contextlib.contextmanager
@@ -799,6 +860,62 @@ def test_constraint_transported_over_run(ll_system, ll_state):
     res = [r["constraint"] for r in records]
     assert res[0] < 1e-12
     assert max(res) - res[0] < 1e-10
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _harmonic_basis(system) -> list:
+    """Per slot the weighted-harmonic fields h_c = e_c - project_complement(e_c, kappa),
+    c = 1, 2, 3, each as a (6, n, n, n) stack whose other slot is zero."""
+    basis = []
+    for s, kappa in ((slice(0, 3), system.coeffs.kappa1), (slice(3, 6), system.coeffs.kappa2)):
+        for c in range(3):
+            h = np.zeros((6,) + system.grid.shape)
+            h[s][c] = 1.0
+            h[s] -= project_complement(h[s], kappa, system.ws)
+            basis.append(h)
+    return basis
+
+
+@pytest.mark.parametrize(
+    "weights, scheme", [("constant", "rk4"), ("constant", "lawson_exp"), ("smooth", "rk4")]
+)
+def test_harmonic_content_of_u_minus_shift_is_transported(weights, scheme):
+    # <h, B u>_kappa = -<B h, u>_kappa = 0, so the field moves its
+    # weighted-harmonic content only through the source: <h_c, u - shift(v)>
+    # is a linear invariant of the system, which any Runge-Kutta stage and
+    # the exact propagator keep to roundoff, while <h_c, shift(v)> moves
+    # with the matter (winding 0 leaves a net transverse moment)
+    raw = yaml.safe_load((SCENARIOS / "ll_etastudy.yaml").read_text())
+    raw["grid"]["n"] = 16
+    raw["initial"]["winding"] = 0
+    raw["eta"] = 0.1
+    del raw["quasistatic"]  # the sweep's settings; it rejects variable weights
+    if weights == "smooth":
+        raw["coefficients"] = yaml.safe_load((SCENARIOS / "ll_smooth.yaml").read_text())[
+            "coefficients"
+        ]
+    scn = parse_scenario(raw)
+    sys_ = scn.build_system()
+    assert sys_.coeffs.is_constant == (weights == "constant")
+    basis = _harmonic_basis(sys_)
+    invariant, shift = [], []
+
+    def record(system, state):
+        shifted = system.matter_to_field(state.v)
+        u = state.u
+        invariant.append([weighted_inner(h, u - shifted, system.coeffs, system.grid) for h in basis])
+        shift.append([weighted_inner(h, shifted, system.coeffs, system.grid) for h in basis])
+        return 0.0
+
+    cfg = IntegratorConfig(dt=2e-3, t_end=0.2, scheme=scheme)
+    run(sys_, scn.initial_state(sys_), cfg, channels={"harmonic": record})
+    drift = np.abs(np.array(invariant) - invariant[0]).max()
+    moved = np.abs(np.array(shift) - shift[0]).max()
+    assert len(invariant) == cfg.n_steps + 1
+    assert moved >= 1e-3
+    assert drift <= 1e-12 * moved, (drift, moved)
 
 
 def test_rk4_cfl_guard(grid16):

@@ -254,6 +254,37 @@ class TestBloch:
             expect = expect - 0.4 * (r - np.diag(np.diag(r)))
             np.testing.assert_allclose(got[:, :, j], expect, atol=1e-12)
 
+    def test_eval_F_is_bitwise_the_sparse_product_with_a_kept_buffer(self, rng):
+        # the product goes to a buffer kept per thread and voxel count;
+        # results of earlier calls, other counts and other threads stay intact
+        import threading
+
+        model = self.make()
+        em = rng.standard_normal((6, 8))
+
+        def reference(v, em):
+            terms = (model.stack @ v).reshape(1 + model.rank, model.dim, -1)
+            terms[1:] *= (model.coupling @ em[3:6])[:, None, :]
+            return terms.sum(axis=0)
+
+        vs = [pack_rho(random_hermitian(rng, 3, m)) for m in (8, 8, 5)]
+        got = [model.eval_F(v, em[:, : v.shape[1]]) for v in vs]
+        for v, g in zip(vs, got):
+            np.testing.assert_array_equal(g, reference(v, em[:, : v.shape[1]]))
+        assert not np.array_equal(got[0], got[1])
+        # a strided view of the state gives the same bits
+        wide = np.zeros((model.dim, 16))
+        wide[:, ::2] = vs[0]
+        np.testing.assert_array_equal(model.eval_F(wide[:, ::2], em), got[0])
+        other = []
+        worker = threading.Thread(target=lambda: other.append(model.eval_F(vs[1], em)))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        np.testing.assert_array_equal(other[0], got[1])
+        with pytest.raises(ValueError, match="shape"):
+            model.eval_F(np.zeros((model.dim + 1, 8)), em)
+
     def test_trace_is_conserved(self, rng):
         model = self.make()
         v = pack_rho(random_hermitian(rng, 3, 8))

@@ -564,6 +564,20 @@ def test_flag_not_read_by_command_is_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, says", [
+    ("run", "every STRIDE steps"),
+    ("reduced", "final state"),
+])
+def test_snapshots_help_says_what_the_command_writes(command, says, capsys):
+    # reduced writes only the final state, for any positive stride
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert says in help_text
+    assert ("every STRIDE" in help_text) == (command == "run")
+
+
 def test_validate_exit_zero(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -17,7 +17,6 @@ from maxmat import (
     Grid3,
     MollifierSpec,
     apply_B,
-    apply_B_hat,
     curl,
     mollify,
     project_P,
@@ -203,15 +202,22 @@ def test_apply_B_writes_into_out_without_reading_it(grid16, ws16, rng):
     np.testing.assert_array_equal(apply_B(u, co, ws16, sign=-1.0), -expect)
 
 
-def test_apply_B_hat_is_apply_B_on_spectra(grid16, ws16, rng):
+def test_apply_B_on_spectra_is_apply_B_on_fields(grid16, ws16, rng):
     # white noise has Nyquist content, where the odd multiplier must vanish as in curl
     co = Coefficients.constant(grid16, 0.7, 1.9)
     u = random_state(rng, grid16)
-    got = ws16.inverse(apply_B_hat(ws16.forward(u), co, ws16))
+    u_hat = ws16.forward(u)
+    got_hat = apply_B(u_hat, co, ws16)
+    assert got_hat.shape == u_hat.shape and np.iscomplexobj(got_hat)
+    got = ws16.inverse(got_hat)
     expect = apply_B(u, co, ws16)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+    # the sign is folded into the multiplier there too, which negates exactly
+    np.testing.assert_array_equal(apply_B(u_hat, co, ws16, sign=-1.0), -got_hat)
     with pytest.raises(ValueError, match="constant"):
-        apply_B_hat(ws16.forward(u), smooth_coefficients(grid16), ws16)
+        apply_B(u_hat, smooth_coefficients(grid16), ws16)
+    with pytest.raises(ValueError, match="spectrum"):
+        apply_B(u_hat[..., :-1], co, ws16)
 
 
 class TestFreePropagator:
