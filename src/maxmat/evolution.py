@@ -36,11 +36,18 @@ transform, the curl multiplier, a 3-vector inverse transform and the
 division by that slot's weight, 48 scalar whole-grid transforms in 16
 calls per step.
 
+The RK4 tableau lives in one place, :func:`_rk4_update`, one stage's
+share of the arithmetic of one array. Every stepper runs on it: the
+field step, the matter stages of the Lawson step and the matter-only
+path (:func:`_rk4_path`). Only the Lawson step's field stages are
+written out by hand, around the propagator.
+
 One RK4 step serves both forms (:func:`_rk4_step`). A stage evaluates
-the matter law and its source on the calling thread. The two output
-slots of B u read only each other's input slot, so then each slot's
-tendency (:meth:`SimSystem.slot_tendency`) and its share of the stage
-arithmetic run as one task, which writes its slot of the next stage
+the matter law on the calling thread. The two output slots of B u read
+only each other's input slot, so then each slot's tendency
+(:meth:`SimSystem.slot_tendency`, the one place that forms a stage's
+matter source, in the field's form) and its share of the stage arithmetic
+run as one task, which writes its slot of the next stage
 argument; that argument alternates between two buffers, so no task
 writes what the other still reads. Physical slots split over two
 threads: one task runs on a single process-wide helper thread
@@ -335,12 +342,11 @@ class SimSystem:
         one :meth:`slot_tendency` per slot; the two share one curl buffer.
         """
         f = self.matter_tendency(u, v)
-        source = self.model.source_from_matter(f, self.kappa_d)
         if out is None:
             out = np.empty_like(u)
         curl_buf = np.empty((3,) + self.ws.spectral_shape, dtype=complex)
         for dst in (slice(0, 3), slice(3, 6)):
-            self.slot_tendency(u, dst, out, source, curl_buf)
+            self.slot_tendency(u, dst, out, f, curl_buf)
         return out, f
 
     def slot_tendency(
@@ -348,30 +354,32 @@ class SimSystem:
         u: np.ndarray,
         dst: slice,
         out: np.ndarray,
-        source: np.ndarray,
+        f: np.ndarray,
         curl_buf: np.ndarray | None = None,
     ) -> np.ndarray:
         """Slot ``dst`` of the field tendency of ``u``, a physical field or,
         on constant weights, its spectrum, written into ``out[dst]`` (same
-        form) and returned.
+        form) and returned; ``f`` is the (dim, m) matter tendency.
 
         That is :func:`spectral.apply_B_slot` with the sign of -1/eta in
         its curl multiplier, times 1/eta when eta is not 1, plus, in the
-        coupled slot, the matter source: for a physical field ``source``
-        is the (3, m) ``model.source_from_matter`` of the matter tendency,
-        added on the domain voxels, and for a spectrum its
-        :meth:`source_hat`. The sign and the 1/eta factor are exact, so the
-        result is bit-identical to multiplying B u by -1/eta. It reads only
-        the other slot of ``u``, so the two slots may be computed at once,
-        each with its own ``curl_buf`` (see :func:`spectral.apply_B_slot`).
+        coupled slot, the source that ``f`` feeds, in the form of ``u``:
+        :meth:`source_hat` on a spectrum, and on a physical field
+        ``model.source_from_matter`` added on the domain voxels. This is
+        the only code that forms an RK4 stage's source. The sign and the 1/eta
+        factor are exact, so the result is bit-identical to multiplying
+        B u by -1/eta. It reads only the other slot of ``u``, so the two
+        slots may be computed at once, each with its own ``curl_buf`` (see
+        :func:`spectral.apply_B_slot`).
         """
         du = apply_B_slot(u, self.coeffs, self.ws, dst, out, -1.0, curl_buf)
         if self.eta != 1.0:
             du *= 1.0 / self.eta
         if dst == self.slot:
             if np.iscomplexobj(du):
-                du += source
+                du += self.source_hat(f)
             else:
+                source = self.model.source_from_matter(f, self.kappa_d)
                 du[(slice(None),) + self.domain.box][:, self.domain.cropped_mask] += source
         return du
 
@@ -477,26 +485,6 @@ def _rk4_update(i: int, k: np.ndarray, acc: np.ndarray, y: np.ndarray, out, dt: 
     return out
 
 
-def _rk4(f, y: tuple, dt: float) -> tuple:
-    """One classical RK4 step of y' = f(*y) over a tuple of arrays.
-
-    The arrays of ``y`` are only read. The stage arguments are written
-    into one set of buffers shaped like ``y``, and the stage sum
-    accumulates in k1's arrays (:func:`_rk4_update`); the result is new
-    arrays. Each stage value is used up before f is called again, so f
-    may return the same buffers at every call after the first, but not
-    k1's.
-    """
-    k1 = f(*y)
-    args = tuple(np.empty_like(a) for a in y)
-    k = k1
-    for i in range(3):
-        for kk, acc, a, arg in zip(k, k1, y, args):
-            _rk4_update(i, kk, acc, a, arg, dt)
-        k = f(*args)
-    return tuple(_rk4_update(3, kk, acc, a, None, dt) for kk, acc, a in zip(k, k1, y))
-
-
 def _sampler(stride: int, n_steps: int):
     """Predicate on step indices: step 0, every ``stride``-th step and step ``n_steps``."""
     if stride < 1:
@@ -507,15 +495,23 @@ def _sampler(stride: int, n_steps: int):
 def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
     """RK4 on v' = f(v), sampled as :func:`_sampler` says.
 
-    Returns (times, values); raises :class:`NumericalAbort` as soon as
-    the state stops being finite.
+    The stages run through :func:`_rk4_update`: their arguments go to one
+    buffer for the whole path and the sum accumulates in k1, so f may
+    return the same array at every call after a step's first, but not
+    k1's. Each step's result is a new array. Returns (times, values);
+    raises :class:`NumericalAbort` as soon as the state stops being
+    finite.
     """
     sampled = _sampler(stride, n_steps)
     v = v0.copy()
+    arg = np.empty_like(v)
     times, values = [], []
     for i in range(n_steps + 1):
         if i > 0:
-            (v,) = _rk4(lambda w: (f(w),), (v,), dt)
+            k1 = k = f(v)
+            for s in range(3):
+                k = f(_rk4_update(s, k, k1, v, arg, dt))
+            v = _rk4_update(3, k, k1, v, None, dt)
             if not np.isfinite(v).all():
                 raise NumericalAbort(f"non-finite matter state at t={i * dt:.6g} (step {i})")
         if sampled(i):
@@ -615,10 +611,10 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     result is physical.
 
     A stage evaluates the matter law at the coupled sample of its
-    argument and the source that the matter tendency feeds, on the calling
-    thread. Then one task per output slot computes that slot's tendency
-    (:meth:`SimSystem.slot_tendency`: B's slot with the sign of -1/eta,
-    the 1/eta scale and, in the coupled slot, the source) and that slot's
+    argument on the calling thread. Then one task per output slot computes
+    that slot's tendency (:meth:`SimSystem.slot_tendency`: B's slot with
+    the sign of -1/eta, the 1/eta scale and, in the coupled slot, the
+    source of the matter tendency, in the field's form) and that slot's
     share of the stage arithmetic (:func:`_rk4_update`). A task reads the
     other slot of the argument and writes its own slot of the next one,
     so the stage arguments alternate between two buffers and no task
@@ -629,10 +625,12 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     steps in each of 8 runs, took 5.0-7.6 ms split and 3.7-5.4 ms inline
     on a 2-core x86-64 guest). The tendencies go to the first
     stage's buffer, where the sum accumulates, and then to one buffer the
-    later stages share; all are :meth:`SimSystem._step_buffers`. The
-    stage arithmetic is :func:`_rk4`'s (:func:`_rk4_update`) and B's sign
-    and 1/eta are exact, so the result, a new array, is bit-identical to
-    the textbook step in either form, with either thread count.
+    later stages share; all are :meth:`SimSystem._step_buffers`. Once
+    both tasks are done, the matter takes its share of the stage
+    arithmetic, which doubles the matter tendency that the source read.
+    All of the arithmetic is :func:`_rk4_update`'s and B's sign and 1/eta
+    are exact, so the result, a new array, is bit-identical to the
+    textbook step in either form, with either thread count.
     """
     spectral = system.coeffs.is_constant
     u = state.spectrum(system.ws) if spectral else state.u
@@ -642,17 +640,13 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     x, w, w_arg = u, v, np.empty_like(v)
     for i in range(4):
         f = system.coupled_tendency(system.coupled_field(state) if i == 0 else system.sample(x), w)
-        if spectral:
-            source = system.source_hat(f)
-        else:
-            source = system.model.source_from_matter(f, system.kappa_d)
         kk = acc if i == 0 else k
         nxt = args[i % 2] if i < 3 else un
 
         # runs before the loop moves on, so it sees this stage's names
         def slot_stage(slot: tuple) -> None:
             dst, curl_buf = slot
-            system.slot_tendency(x, dst, kk, source, curl_buf)
+            system.slot_tendency(x, dst, kk, f, curl_buf)
             _rk4_update(i, kk[dst], acc[dst], u[dst], nxt[dst], dt)
 
         slots = (slice(0, 3), curl1), (slice(3, 6), curl2)
@@ -675,7 +669,10 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
 
     The free flow is pulled out exactly; RK4 acts on the transformed
     nonlinearity. Matter has no free part, so its stages see the plain
-    Runge-Kutta combination.
+    Runge-Kutta combination: their arguments and the final sum are
+    :func:`_rk4_update`'s, the arguments in one buffer and the sum in
+    f_1's array. Each c_k = :meth:`SimSystem.source_hat` of f_k is taken
+    before that update doubles f_k in place.
 
     With P = exp(-(h/2) B / eta), a = P u and c_k the field source of
     stage k, the step is
@@ -702,7 +699,7 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     prop, ws, slot = system.propagator, system.ws, system.slot
     h = dt
     phases = prop.phases(0.5 * h / system.eta)
-    v = state.v
+    v, w_arg = state.v, np.empty_like(state.v)
 
     def tendency(field_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
         return system.coupled_tendency(system.sample_hat(field_hat), w)
@@ -710,14 +707,14 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     a = prop.apply_hat(state.spectrum(ws), phases)
     f1 = system.coupled_tendency(system.coupled_field(state), v)
     e_c1 = prop.apply_hat(system.source_hat(f1), phases, slot=slot)
-    f2 = tendency(a[slot] + 0.5 * h * e_c1[slot], v + 0.5 * h * f1)
+    f2 = tendency(a[slot] + 0.5 * h * e_c1[slot], _rk4_update(0, f1, f1, v, w_arg, h))
     c2 = system.source_hat(f2)
-    f3 = tendency(a[slot] + 0.5 * h * c2, v + 0.5 * h * f2)
+    f3 = tendency(a[slot] + 0.5 * h * c2, _rk4_update(1, f2, f1, v, w_arg, h))
     c3 = system.source_hat(f3)
     # Stage 4's argument is built in a itself: a copy of the stack would
     # raise a 64^3 run's peak memory.
     a[slot] += h * c3
-    f4 = tendency(prop.apply_hat(a, phases, out_slot=slot), v + h * f3)
+    f4 = tendency(prop.apply_hat(a, phases, out_slot=slot), _rk4_update(2, f3, f1, v, w_arg, h))
     a[slot] += (h / 3.0) * (c2 - 2.0 * c3)
     del c2, c3
     e_c1 *= h / 6.0
@@ -726,8 +723,7 @@ def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     un = prop.apply_hat(a, phases)
     del a
     un[slot] += (h / 6.0) * system.source_hat(f4)
-    vn = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return SimState.spectral(state.t + dt, un, vn, ws)
+    return SimState.spectral(state.t + dt, un, _rk4_update(3, f4, f1, v, None, h), ws)
 
 
 def step(system: SimSystem, state: SimState, cfg: IntegratorConfig) -> SimState:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 import yaml
 
 from .evolution import FixedPointConfig, IntegratorConfig, SimState, SimSystem
@@ -23,6 +22,7 @@ from .evolution import _check_cfl, make_initial
 from .grid import Coefficients, DomainMask, Grid3, ball_indicator, ball_mask, box_mask
 from .models import BlochModel, LandauLifschitzModel, MatterModel, check_level_count, pack_rho
 from .quasistatic import EtaStudyConfig
+from .spectral import FourierWorkspace
 
 
 class ConfigError(Exception):
@@ -204,12 +204,8 @@ def _smooth_indicator(grid: Grid3, center, radius: float, width: float) -> np.nd
     if total <= 0.0:
         raise ConfigError("coefficients.width", "mollification width narrower than one cell")
     kern /= total
-    conv = scipy.fft.irfftn(
-        scipy.fft.rfftn(ind, axes=(0, 1, 2)) * scipy.fft.rfftn(kern, axes=(0, 1, 2)),
-        s=grid.shape,
-        axes=(0, 1, 2),
-    )
-    return np.clip(conv, 0.0, 1.0)
+    ws = FourierWorkspace(grid)
+    return np.clip(ws.inverse(ws.forward(ind) * ws.forward(kern)), 0.0, 1.0)
 
 
 def _ladder_dipole(levels, coupling, polarization):
@@ -363,16 +359,8 @@ def band_limited_field(grid: Grid3, seed: int, band: int, amplitude: float) -> n
     per axis, scaled so the sup norm equals ``amplitude``."""
     rng = np.random.default_rng(int(seed))
     w = rng.standard_normal((6,) + grid.shape)
-    n = grid.n
-    kx = np.fft.fftfreq(n, 1.0 / n)
-    kz = np.fft.rfftfreq(n, 1.0 / n)
-    mask = (
-        (np.abs(kx)[:, None, None] <= band)
-        & (np.abs(kx)[None, :, None] <= band)
-        & (kz[None, None, :] <= band)
-    )
-    what = scipy.fft.rfftn(w, axes=(-3, -2, -1)) * mask
-    out = scipy.fft.irfftn(what, s=grid.shape, axes=(-3, -2, -1))
+    ws = FourierWorkspace(grid)
+    out = ws.inverse(ws.forward(w) * ws.band_mask(band))
     peak = float(np.abs(out).max())
     return out * (amplitude / peak) if peak > 0 else out
 

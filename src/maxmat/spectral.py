@@ -96,6 +96,14 @@ class FourierWorkspace:
         """1 / |xi|^2, the inverse of -Laplacian with the zero mode pinned; built on first use."""
         return safe_div(1.0, self.xi_sq)
 
+    def band_mask(self, band: int) -> np.ndarray:
+        """Boolean half-spectrum of the modes whose integer wavenumbers are
+        at most ``band`` in magnitude along every axis."""
+        n = self.grid.n
+        kx = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        kz = np.fft.rfftfreq(n, 1.0 / n)
+        return (kx[:, None, None] <= band) & (kx[None, :, None] <= band) & (kz <= band)
+
     def forward(self, fields: np.ndarray) -> np.ndarray:
         """rfftn over the trailing three axes; leading axes are batched."""
         return scipy.fft.rfftn(fields, axes=(-3, -2, -1))

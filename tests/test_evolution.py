@@ -45,8 +45,8 @@ from maxmat import (
     weighted_norm,
 )
 from maxmat import evolution
-from maxmat.evolution import _rk4
 from maxmat.models import MatterModel
+from maxmat.quasistatic import reduced_rhs
 
 from .conftest import count_transforms, smooth_coefficients, tilted_magnetization
 
@@ -271,7 +271,7 @@ def test_spectral_rk4_step_matches_physical_reference(kind, ll_system, grid16, r
     state, (u, v) = state0, (state0.u, state0.v)
     for _ in range(5):
         state = step(sys_, state, cfg)
-        u, v = _rk4(sys_.tendencies, (u, v), cfg.dt)
+        u, v = _textbook_rk4(sys_.tendencies, (u, v), cfg.dt)
     assert state.u_hat is not None
     assert np.abs(state.u - u).max() <= 1e-12 * np.abs(u).max()
     assert np.abs(state.v - v).max() <= 1e-12 * np.abs(v).max()
@@ -327,10 +327,11 @@ def _textbook_spectral_rk4_step(sys_, u_hat, v, dt, kappa1, kappa2):
     return _textbook_rk4(rhs, (u_hat, v), dt)
 
 
-@pytest.mark.parametrize("eta", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("eta", [1.0, 0.5, 0.3, 0.7])
 def test_variable_rk4_step_is_bitwise_the_textbook_step(eta, ll_system, grid16, rng):
     # the step's buffers change where results go, not the arithmetic; 0.3
-    # makes 1/eta inexact
+    # makes 1/eta inexact, and at 0.7 a step that divides by eta instead of
+    # multiplying by 1/eta differs in the last bit
     co = smooth_coefficients(grid16)
     sys_ = SimSystem(grid16, co, ll_system.domain, ll_system.model, eta=eta)
     state = make_initial(
@@ -1005,6 +1006,40 @@ def test_matter_paths_reject_zero_sample_stride(ll_system, ll_state):
     cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
     with pytest.raises(ValueError, match="stride"):
         run_reduced(ll_system, ll_state.v, cfg, sample_stride=0)
+
+
+@pytest.mark.parametrize("path", ["landau_lifschitz", "bloch", "reduced"])
+def test_matter_paths_are_bitwise_the_textbook_rk4(path, ll_system, grid16, rng):
+    # integrate_matter and run_reduced step through _rk4_update with one
+    # stage-argument buffer per path; every sample is the textbook step's
+    dt, n_steps, stride = 2e-3, 50, 7
+    if path == "bloch":
+        sys_ = _bloch_system(grid16, eta=1.0)
+        rho = np.zeros((3, 3, sys_.domain.count), dtype=complex)
+        rho[0, 0] = rho[1, 1] = rho[0, 1] = rho[1, 0] = 0.5
+        v0 = pack_rho(rho)
+    else:
+        sys_ = ll_system
+        v0 = tilted_magnetization(sys_.domain)
+    if path == "reduced":
+        got = run_reduced(sys_, v0, IntegratorConfig(dt, n_steps * dt), sample_stride=stride)
+        times, values = got.times, got.v_samples
+        rhs = lambda w: (reduced_rhs(sys_, w),)
+    else:
+        em = rng.standard_normal((6, sys_.domain.count))
+        times, values = integrate_matter(sys_.model, v0, em, n_steps * dt, dt, stride)
+        rhs = lambda w: (sys_.model.eval_F(w, em),)
+    ref, expect = v0, [v0]
+    for i in range(1, n_steps + 1):
+        (ref,) = _textbook_rk4(rhs, (ref,), dt)
+        if i % stride == 0 or i == n_steps:
+            expect.append(ref)
+    np.testing.assert_array_equal(times, dt * np.array([0, 7, 14, 21, 28, 35, 42, 49, 50]))
+    assert len(values) == len(expect)
+    for got_v, want in zip(values, expect):
+        np.testing.assert_array_equal(got_v, want)
+    # not vacuous: the matter moved
+    assert np.abs(values[-1] - v0).max() > 1e-3
 
 
 # ------------------------------------------------------ closed-form oracles

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-assigns a local it never reads, calls a numpy FFT transform or reads the
-workspace's rfft-layout tables (``xi``, ``mode_weights``) outside
-``spectral``; every source file parses as the oldest Python the package
-admits; and every name the benchmark tracer wraps still exists."""
+assigns a local it never reads or calls a numpy FFT transform; no module
+but ``spectral`` imports ``scipy.fft`` or reads the workspace's
+rfft-layout tables (``xi``, ``mode_weights``); every source file parses
+as the oldest Python the package admits; and every name the benchmark
+tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -135,6 +136,44 @@ def test_scan_finds_numpy_fft_call():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_numpy_fft_transforms(path):
     assert numpy_fft_calls(path.read_text()) == []
+
+
+def scipy_fft_imports(source: str) -> list[str]:
+    """Import statements that bind ``scipy.fft`` or a name from it, by line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        out += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name == "scipy.fft" or name.startswith("scipy.fft.")
+        ]
+    return out
+
+
+def test_scan_finds_scipy_fft_import():
+    src = (
+        "import scipy.fft\n"
+        "import scipy.sparse, numpy.fft\n"
+        "from scipy import fft as f, linalg\n"
+        "from scipy.fft import rfftn\n"
+        "from scipy.sparse import fft_like\n"
+    )
+    assert scipy_fft_imports(src) == [
+        "scipy.fft (line 1)", "scipy.fft (line 3)", "scipy.fft.rfftn (line 4)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "spectral.py"], ids=lambda p: p.name
+)
+def test_only_spectral_imports_scipy_fft(path):
+    assert scipy_fft_imports(path.read_text()) == []
 
 
 # Workspace attributes that carry the rfft layout; only spectral.py reads them.

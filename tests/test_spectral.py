@@ -127,6 +127,20 @@ def test_curl_matches_closed_form(grid16, ws16):
     assert np.abs(got - expect).max() < 1e-11
 
 
+@pytest.mark.parametrize("band", [0, 2, 7, 8])
+def test_band_mask_keeps_exactly_the_wavenumbers_within_the_band(band, grid16, ws16):
+    # a plane wave survives the mask iff each of its integer wavenumbers is
+    # at most band in magnitude; 8 is the Nyquist wavenumber of the 16^3 grid
+    x, y, z = (2.0 * np.pi * c / grid16.box_len for c in grid16.meshgrid())
+    mask = ws16.band_mask(band)
+    assert mask.shape == ws16.spectral_shape and mask.dtype == bool
+    for k in [(0, 0, 0), (2, -2, 2), (-7, 1, 3), (3, 8, 0), (0, 0, -5)]:
+        wave = np.cos(k[0] * x + k[1] * y + k[2] * z + 0.3)
+        kept = ws16.inverse(ws16.forward(wave) * mask)
+        inside = max(abs(c) for c in k) <= band
+        np.testing.assert_allclose(kept, wave if inside else 0.0, atol=1e-12)
+
+
 def test_curl_matches_fftn_oracle(grid16, ws16, rng):
     v = rng.standard_normal((3,) + grid16.shape)
     got = curl(v, ws16)
