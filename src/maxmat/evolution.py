@@ -51,19 +51,26 @@ run as one task, which writes its slot of the next stage
 argument; that argument alternates between two buffers, so no task
 writes what the other still reads. Physical slots split over two
 threads: one task runs on a single process-wide helper thread
-(:func:`_split`). The helper starts on first use, only on two or more
-usable cores, and a caller that cannot take it at once runs both tasks
-itself, so nested and concurrent steppers never wait for it. A task of
-a pool that already has a thread per usable core, such as the eta
-sweep's, runs both itself too (:func:`pool_context`). Spectral slots,
-a multiplier each, run one after the other on the calling thread. The
-stage buffers and both stage arguments, shaped to the form, and in
-physical form a curl buffer per slot, are work arrays that the system
-keeps per thread (:meth:`SimSystem._step_buffers`). The stage sum
+(:func:`cores._split`). Spectral slots, a multiplier each, run one after
+the other on the calling thread. One rule, in :mod:`cores`, governs every
+extra thread the package asks for: these slot tasks, the free
+propagator's two output-slot tasks on 64^3 grids and up (so the Lawson
+step's whole-stack and source applications split too) and pocketfft's
+second worker in the workspace's transforms on those grids. Each takes
+the helper's one token without waiting; a caller that cannot, or a task
+of a pool that already has a thread per usable core, such as the eta
+sweep's (:func:`cores.pool_context`), does all of its work itself, so
+nested and concurrent steppers never wait and a transform inside a
+slot task has one worker. pocketfft keeps its two pool threads after the
+first two-worker transform and restarts them in a forked child, as the
+child starts its own helper. The stage buffers and both stage
+arguments, shaped to the form, and in physical form a curl buffer per
+slot, are work arrays that the system keeps per thread (:meth:`SimSystem._step_buffers`). The stage sum
 accumulates in the first stage's buffer in the textbook order, so the
 only six-component field a step allocates is its result (and the
 spectrum of a physical state on constant weights), which is
-bit-identical to the textbook expression with or without the helper.
+bit-identical to the textbook expression with or without the helper,
+and with one transform worker or two.
 
 The divergence constraint is monitored, never enforced: the curl-free
 content of u - shift(v) is a linear functional annihilated by the exact
@@ -79,15 +86,13 @@ alone.
 
 from __future__ import annotations
 
-import contextvars
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .cores import _split
 from .grid import (
     Coefficients,
     DomainMask,
@@ -251,7 +256,7 @@ class SimSystem:
         They are made on first use and kept per thread, so copies of the
         system (:func:`quasistatic.with_eta`) share them only within one
         thread, where steps run one at a time. The helper thread of
-        :func:`_split` writes slot slices of the calling thread's field
+        :func:`cores._split` writes slot slices of the calling thread's field
         arrays and one of its curl buffers, and only while that thread
         waits for it. Made afresh at every step they left the allocator
         growing and trimming its heap: a 32^3 physical step took 964 or
@@ -520,80 +525,6 @@ def _rk4_path(f, v0: np.ndarray, n_steps: int, dt: float, stride: int):
     return np.asarray(times), np.asarray(values)
 
 
-# The helper thread of :func:`_split`, made on first use, the lock whose
-# holder may hand it a task, and whether the current context may use it
-# at all (:func:`pool_context`).
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-_helper_allowed = contextvars.ContextVar("maxmat_step_helper", default=True)
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def pool_context(threads: int) -> contextvars.Context:
-    """A copy of the caller's context for one task of a pool of
-    ``threads`` threads.
-
-    When the pool alone gives every usable core a thread, :func:`_split`
-    keeps to the calling thread in the copy: the helper would only put
-    one thread more than there are cores to work. A variable-weight eta
-    sweep at 32^3 on a 2-thread pool of a 2-core x86-64 guest was slower
-    with the helper in 4 of 4 alternating pairs (median 19.3 s against
-    16.7 s without).
-    """
-    ctx = contextvars.copy_context()
-    if threads >= _usable_cores():
-        ctx.run(_helper_allowed.set, False)
-    return ctx
-
-
-def _forget_helper() -> None:
-    """A forked child has no helper thread; it starts its own on first use."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _split(task, a, b) -> None:
-    """task(a) and task(b), the second on the helper thread when it is free.
-
-    The helper is one process-wide thread, started on first use and only
-    when the process has two or more usable cores. A caller takes it only
-    if it can without waiting and its context allows it (not in a task of
-    a pool that fills the cores, :func:`pool_context`); otherwise both
-    tasks run here, one after the other. So a process runs at most one
-    extra thread, nested or concurrent callers cannot deadlock, and a
-    pool with a thread per core gets none. The helper's task runs in a
-    copy of the caller's context, numpy's error state included, and an
-    exception of either task is raised here once both have finished.
-    """
-    global _helper
-    if _helper_allowed.get() and _helper_lock.acquire(blocking=False):
-        try:
-            if _helper is None and _usable_cores() > 1:
-                _helper = ThreadPoolExecutor(1, thread_name_prefix="maxmat-helper")
-            if _helper is not None:
-                future = _helper.submit(contextvars.copy_context().run, task, b)
-                try:
-                    task(a)
-                finally:
-                    error = future.exception()
-                if error is not None:
-                    raise error
-                return
-        finally:
-            _helper_lock.release()
-    task(a)
-    task(b)
-
-
 def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     """One classical RK4 step of the whole system, in the field form the
     weights allow.
@@ -619,8 +550,8 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     other slot of the argument and writes its own slot of the next one,
     so the stage arguments alternate between two buffers and no task
     writes what the other still reads. Physical slots go through
-    :func:`_split`, which runs one task on the helper thread when it is
-    free. Spectral slots, a multiplier each, run here: handing one over
+    :func:`cores._split`, which runs one task on the helper thread when it
+    is free. Spectral slots, a multiplier each, run here: handing one over
     costs more than it saves (a 6-level Bloch step at 16^3, median of 200
     steps in each of 8 runs, took 5.0-7.6 ms split and 3.7-5.4 ms inline
     on a 2-core x86-64 guest). The tendencies go to the first

@@ -29,6 +29,7 @@ from math import ceil
 
 import numpy as np
 
+from .cores import pool_context
 from .diagnostics import fit_loglog
 from .evolution import (
     IntegratorConfig,
@@ -37,7 +38,6 @@ from .evolution import (
     SimSystem,
     _rk4_path,
     make_initial,
-    pool_context,
     run,
 )
 from .grid import ball_indicator, matter_l2_norm
@@ -227,7 +227,7 @@ def eta_convergence_study(
     threads, each task in a copy of the caller's context (numpy's error
     state included) that keeps a variable-weight step off its helper
     thread when the pool has a thread per usable core
-    (:func:`evolution.pool_context`). The runs are queued costliest
+    (:func:`cores.pool_context`). The runs are queued costliest
     first, that is in increasing eta, and the limit model last, so that
     the longest run is not the one that ends alone. The queue is first
     in, first out, so once the limit model runs no eta run is left

@@ -1,5 +1,7 @@
 """Shared fixtures: small grids, random fields, and a reference system."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,24 @@ def count_transforms(monkeypatch, names=("forward", "inverse", "forward_box", "i
 
         monkeypatch.setattr(FourierWorkspace, name, counting)
     return transforms
+
+
+def record_fft_workers(monkeypatch) -> list:
+    """Patch the workspace's worker rule to record the worker count of
+    every transform call; returns the (live) list of counts."""
+    import maxmat.spectral as spectral
+
+    seen = []
+    original = spectral.fft_workers
+
+    @contextlib.contextmanager
+    def recording(points):
+        with original(points) as workers:
+            seen.append(workers)
+            yield workers
+
+    monkeypatch.setattr(spectral, "fft_workers", recording)
+    return seen
 
 
 def smooth_coefficients(grid, amp1=0.6, amp2=0.4):

@@ -44,11 +44,16 @@ from maxmat import (
     weighted_inner,
     weighted_norm,
 )
-from maxmat import evolution
+from maxmat import cores, evolution
 from maxmat.models import MatterModel
 from maxmat.quasistatic import reduced_rhs
 
-from .conftest import count_transforms, smooth_coefficients, tilted_magnetization
+from .conftest import (
+    count_transforms,
+    record_fft_workers,
+    smooth_coefficients,
+    tilted_magnetization,
+)
 
 
 def test_rhs_recomposition(ll_system, ll_state):
@@ -472,7 +477,7 @@ def test_threads_step_one_system(weights, ll_system, grid16, rng):
 @contextlib.contextmanager
 def helper_held():
     """Hold the step's helper thread, so that every slot split runs inline."""
-    with evolution._helper_lock:
+    with cores._helper_lock:
         yield
 
 
@@ -511,7 +516,7 @@ def test_variable_rk4_step_is_bitwise_the_same_with_and_without_the_helper(
         return state
 
     split = advance()
-    assert helper_ran(calls) == (evolution._usable_cores() > 1)
+    assert helper_ran(calls) == (cores._usable_cores() > 1)
     calls.clear()
     with helper_held():
         inline = advance()
@@ -536,23 +541,79 @@ def test_helper_side_overflow_raises_in_the_caller(ll_system, grid16, rng, monke
             with pytest.raises(FloatingPointError) as raised:
                 step(sys_, SimState(0.0, huge, v), cfg)
         assert helper_ran(calls) == (hold is contextlib.nullcontext
-                                     and evolution._usable_cores() > 1)
+                                     and cores._usable_cores() > 1)
         tb, raising = raised.tb, []
         while tb is not None:
             if tb.tb_frame.f_code.co_name == "slot_stage":
                 raising.append(tb.tb_frame.f_locals["dst"])
             tb = tb.tb_next
         assert raising == [slice(3, 6)]
-    assert not evolution._helper_lock.locked()
+    assert not cores._helper_lock.locked()
     # the helper was given back: the next step splits again, bit for bit
     normal = make_initial(sys_, v, u_free=rng.standard_normal((6,) + grid16.shape))
     calls.clear()
     with np.errstate(over="raise"):
         split = step(sys_, normal, cfg)
-    assert helper_ran(calls) == (evolution._usable_cores() > 1)
+    assert helper_ran(calls) == (cores._usable_cores() > 1)
     with helper_held():
         inline = step(sys_, normal, cfg)
     assert split.u.tobytes() == inline.u.tobytes()
+    assert split.v.tobytes() == inline.v.tobytes()
+
+
+def record_propagator_threads(monkeypatch) -> list:
+    """Record the thread name of every propagator output slot computed."""
+    calls = []
+    original = FreePropagator._slot_hat
+
+    def recording(self, *args):
+        calls.append(threading.current_thread().name)
+        return original(self, *args)
+
+    monkeypatch.setattr(FreePropagator, "_slot_hat", recording)
+    return calls
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["landau_lifschitz", "bloch"])
+def test_lawson_step_is_bitwise_the_same_on_two_cores_and_one(
+    kind, eta, ll_system, grid16, rng, monkeypatch
+):
+    # with the size threshold at 16^3 the propagator splits its output slots
+    # over the helper and the transforms take a second worker; held, the
+    # helper runs nothing and every transform has one worker
+    monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
+    if kind == "bloch":
+        sys_ = _bloch_system(grid16, eta=eta)
+        rho = np.zeros((3, 3, sys_.domain.count), dtype=complex)
+        rho[0, 0] = rho[2, 2] = rho[0, 2] = rho[2, 0] = 0.5
+        v0 = pack_rho(rho)
+    else:
+        sys_ = SimSystem(grid16, Coefficients.constant(grid16, 1.2, 0.7), ll_system.domain,
+                         ll_system.model, eta=eta)
+        v0 = tilted_magnetization(sys_.domain)
+    state0 = make_initial(sys_, v0, u_free=rng.standard_normal((6,) + grid16.shape))
+    cfg = IntegratorConfig(dt=5e-3, t_end=5e-3, scheme="lawson_exp")
+    slots = record_propagator_threads(monkeypatch)
+    workers = record_fft_workers(monkeypatch)
+
+    def advance():
+        state = state0
+        for _ in range(3):
+            state = step(sys_, state, cfg)
+        return state
+
+    two_cores = cores._usable_cores() > 1
+    split = advance()
+    assert any(name.startswith("maxmat-helper") for name in slots) == two_cores
+    assert (2 in workers) == two_cores
+    slots.clear()
+    workers.clear()
+    with helper_held():
+        inline = advance()
+    assert not any(name.startswith("maxmat-helper") for name in slots)
+    assert len(slots) == 3 * (2 + 2 + 2 + 1) and set(workers) == {1}
+    assert split.u_hat.tobytes() == inline.u_hat.tobytes()
     assert split.v.tobytes() == inline.v.tobytes()
 
 
@@ -560,7 +621,7 @@ STEP_SCRIPT = """
 import os, threading
 {prelude}
 from maxmat import Coefficients, LandauLifschitzModel, SimState, SimSystem, Grid3, box_mask
-from maxmat import IntegratorConfig, evolution, step
+from maxmat import IntegratorConfig, cores, step
 import numpy as np
 g = Grid3(8, 1.0)
 xx, yy, zz = g.meshgrid()
@@ -571,7 +632,7 @@ sys_ = SimSystem(g, co, dom, model)
 v = np.tile([[0.6], [0.0], [0.8]], (1, dom.count))
 state = step(sys_, SimState(0.0, np.ones((6,) + g.shape), v), IntegratorConfig(1e-3, 1e-3))
 assert np.isfinite(state.u).all()
-print(threading.active_count(), evolution._helper is not None)
+print(threading.active_count(), cores._helper is not None)
 """
 
 
@@ -589,7 +650,7 @@ def run_step_script(prelude: str = "", postlude: str = "") -> list:
 
 def test_helper_does_not_hold_up_interpreter_exit():
     threads, started = run_step_script()
-    assert started == str(evolution._usable_cores() > 1)
+    assert started == str(cores._usable_cores() > 1)
     assert threads == ("2" if started == "True" else "1")
 
 
@@ -597,13 +658,23 @@ def test_helper_does_not_hold_up_interpreter_exit():
 def test_forked_child_steps_with_a_helper_of_its_own():
     # the parent's helper thread does not exist in a child; a child that
     # handed it a task would wait for it forever (the alarm ends that)
+    # nor do pocketfft's worker threads, which persist after the parent's
+    # first two-worker transform (forced here on one usable core too)
     postlude = (
+        "from maxmat import FourierWorkspace\n"
+        "cores._usable_cores = lambda: 2\n"
+        "ws = FourierWorkspace(Grid3(64, 1.0))\n"
+        "f = np.random.default_rng(0).standard_normal((3, 64, 64, 64))\n"
+        "with cores.fft_workers(ws.points) as w:\n"
+        "    assert w == 2\n"
+        "parent = ws.forward(f).tobytes()\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    import signal\n"
         "    signal.alarm(20)\n"
         "    state = step(sys_, state, IntegratorConfig(1e-3, 1e-3))\n"
-        "    os._exit(0 if np.isfinite(state.u).all() else 1)\n"
+        "    same = ws.forward(f).tobytes() == parent\n"
+        "    os._exit(0 if np.isfinite(state.u).all() and same else 1)\n"
         "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
     )
     assert run_step_script(postlude=postlude)[-1] == "0"

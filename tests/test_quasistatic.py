@@ -281,7 +281,7 @@ def test_eta_study_pool_with_a_thread_per_core_keeps_the_step_helper_off(
     import threading
 
     import maxmat.quasistatic as qs
-    from maxmat import NumericalAbort, evolution, step
+    from maxmat import NumericalAbort, cores, step
 
     state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
     var_sys = SimSystem(grid16, smooth_coefficients(grid16), qs_system.domain, qs_system.model)
@@ -299,7 +299,7 @@ def test_eta_study_pool_with_a_thread_per_core_keeps_the_step_helper_off(
 
     monkeypatch.setattr(SimSystem, "slot_tendency", recording)
     monkeypatch.setattr(qs, "_eta_run", eta_run)
-    monkeypatch.setattr(evolution, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cores, "_usable_cores", lambda: 2)
     res = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=threads, **SCHEDULE_KW))
     assert all(r["failed"] for r in res.rows)
     assert len(names) == 4 * 4 * 2  # 4 runs, 4 stages, 2 slots

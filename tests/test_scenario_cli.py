@@ -387,7 +387,7 @@ class TestCli:
     def test_variable_weight_run_is_byte_identical_without_the_step_helper(self, tmp_path):
         # the variable-weight RK4 step splits each stage's two slots over a
         # helper thread when it can take it; held, both run inline
-        from maxmat import evolution
+        from maxmat import cores
 
         m = base_mapping()
         m["coefficients"] = {"profile": "smooth_bump", "center": [0.5, 0.5, 0.5],
@@ -399,7 +399,7 @@ class TestCli:
         blobs = []
         for held in (False, True):
             out = tmp_path / f"out_{held}"
-            with evolution._helper_lock if held else contextlib.nullcontext():
+            with cores._helper_lock if held else contextlib.nullcontext():
                 assert main(["run", str(path), "--out-dir", str(out)]) == 0
             blobs.append((out / "var_monitor.csv").read_bytes())
         assert blobs[0] == blobs[1]

@@ -539,3 +539,32 @@ def test_forward_box_rejects_a_block_of_another_shape(ws16):
     box = _boxes(16)["off_centre"]
     with pytest.raises(ValueError, match="does not match the box"):
         ws16.forward_box(np.zeros((3, 2, 3, 4)), box)
+
+
+def test_two_worker_transforms_are_bitwise_one_worker(rng, monkeypatch):
+    # at 64^3 the workspace hands pocketfft a second worker (forced here on
+    # one usable core too); holding the token leaves it one
+    from maxmat import cores
+
+    from .conftest import record_fft_workers
+
+    monkeypatch.setattr(cores, "_usable_cores", lambda: 2)
+    ws = FourierWorkspace(Grid3(64))
+    box = (slice(24, 41),) * 3
+    field = rng.standard_normal((3,) + ws.grid.shape)
+    block = rng.standard_normal((3, 17, 17, 17))
+    seen = record_fft_workers(monkeypatch)
+
+    def transforms():
+        spectra = ws.forward(field)
+        return [spectra, ws.inverse(spectra), ws.forward_box(block, box),
+                ws.inverse_box(spectra, box)]
+
+    two = transforms()
+    assert seen == [2] * 4
+    seen.clear()
+    with cores._helper_lock:
+        one = transforms()
+    assert seen == [1] * 4
+    for a, b in zip(two, one):
+        assert a.tobytes() == b.tobytes()
