@@ -38,9 +38,8 @@ calls per step.
 
 The RK4 tableau lives in one place, :func:`_rk4_update`, one stage's
 share of the arithmetic of one array. Every stepper runs on it: the
-field step, the matter stages of the Lawson step and the matter-only
-path (:func:`_rk4_path`). Only the Lawson step's field stages are
-written out by hand, around the propagator.
+field step, the Lawson step, whose field stages are RK4's in the frame
+of the half step, and the matter-only path (:func:`_rk4_path`).
 
 One RK4 step serves both forms (:func:`_rk4_step`). A stage evaluates
 the matter law on the calling thread. The two output slots of B u read
@@ -469,7 +468,9 @@ _RK4_NODES = (0.5, 0.5, 1.0)
 
 
 def _rk4_update(i: int, k: np.ndarray, acc: np.ndarray, y: np.ndarray, out, dt: float):
-    """Stage ``i``'s share (i = 0..3) of the RK4 arithmetic of one array.
+    """Stage ``i``'s share (i = 0..3) of the RK4 arithmetic of one array:
+    a field, a slot of one, the coupled slot's 3-vector spectrum in the
+    Lawson step, or a matter state.
 
     ``k`` is stage i's tendency and ``acc`` stage 0's, where the weighted
     sum accumulates; ``y`` is only read. Stages 0-2 write the next stage
@@ -596,65 +597,62 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
 
 
 def _lawson_step(system: SimSystem, state: SimState, dt: float) -> SimState:
-    """One step of the Lawson(RK4) exponential integrator.
+    """One step of the Lawson(RK4) exponential integrator: classical RK4
+    on the field in the frame of the half step.
 
-    The free flow is pulled out exactly; RK4 acts on the transformed
-    nonlinearity. Matter has no free part, so its stages see the plain
-    Runge-Kutta combination: their arguments and the final sum are
-    :func:`_rk4_update`'s, the arguments in one buffer and the sum in
-    f_1's array. Each c_k = :meth:`SimSystem.source_hat` of f_k is taken
-    before that update doubles f_k in place.
+    With P = exp(-(h/2) B / eta), y = P u_n and c_k the field source of
+    stage k, the tendencies are K_1 = P c_1, K_2 = c_2, K_3 = c_3 and
+    K_4 = c_4, stage 4 samples P(y + h K_3), and
 
-    With P = exp(-(h/2) B / eta), a = P u and c_k the field source of
-    stage k, the step is
+        u_{n+1} = P(y + (h/6)(K_1 + 2 K_2 + 2 K_3)) + (h/6) K_4,
 
-        u_{n+1} = P(a + (h/6) P c_1 + (h/3)(c_2 + c_3)) + (h/6) c_4,
+    which by the linearity of P is the textbook P^2 u_n + (h/6)(P^2 c_1 +
+    2 P c_2 + 2 P c_3 + c_4). Matter has no free part: its stages are
+    plain RK4. Every stage argument, field and matter, and both sums are
+    :func:`_rk4_update`'s: the matter's whole step, and the field's stage
+    arguments and K_1 + 2 K_2 + 2 K_3 in the coupled slot, where K_2 to
+    K_4 live, accumulated in K_1's stack; (h/6) times that sum is added to
+    y, and (h/6) K_4 after the last application. So the step is the
+    textbook expression to the bit. Each c_k is taken before the matter
+    update doubles f_k.
 
-    which by the linearity of P is the textbook P^2 u + (h/6)(P^2 c_1 +
-    2 P c_2 + 2 P c_3 + c_4). Stage 4 samples P(a + h c_3) at the coupled
-    slot only. That is four propagator applications, all on spectra with
-    the half-step phases computed once: two of a whole stack, one of a
-    source 3-vector, and one that returns only the coupled slot.
+    P is applied four times, on spectra with the half-step phases computed
+    once: to u_n, giving y, and to the folded sum, whole stacks; to c_1, a
+    3-vector; and to stage 4's argument, computing its coupled slot only.
+    That argument is built in y's coupled slot, which is saved before and
+    restored after its application, and K_1 is released before the last
+    application, so a 64^3 step never holds a copy of a stack.
 
-    A stage needs the field only as the coupled 3-vector that the matter
-    law samples on the domain, which each stage inverse-transforms on the
-    domain's bounding box from its argument (stage 1 of a physical state
-    samples the state itself); stage 4's argument is the coupled slot
-    that the ``out_slot`` application returns. Each stage's source is the
-    3-vector spectrum of the coupled slot, forward-transformed from a
-    box-sized block. From a spectral state that is 4*3 + 4*3 = 24 scalar
-    box transforms; a physical one adds its 6-component whole-grid
-    forward transform and saves stage 1's inverse, 27 in all. The result
-    is spectral.
+    A stage inverse-transforms its coupled 3-vector on the domain's
+    bounding box for the matter law (stage 1 of a physical state samples
+    the state itself) and forward-transforms its source from a box-sized
+    block: 4*3 + 4*3 = 24 scalar box transforms from a spectral state, 27
+    from a physical one, which adds its 6-component whole-grid forward
+    transform and saves stage 1's inverse. The result is spectral.
     """
     prop, ws, slot = system.propagator, system.ws, system.slot
-    h = dt
-    phases = prop.phases(0.5 * h / system.eta)
-    v, w_arg = state.v, np.empty_like(state.v)
-
-    def tendency(field_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return system.coupled_tendency(system.sample_hat(field_hat), w)
-
-    a = prop.apply_hat(state.spectrum(ws), phases)
-    f1 = system.coupled_tendency(system.coupled_field(state), v)
-    e_c1 = prop.apply_hat(system.source_hat(f1), phases, slot=slot)
-    f2 = tendency(a[slot] + 0.5 * h * e_c1[slot], _rk4_update(0, f1, f1, v, w_arg, h))
-    c2 = system.source_hat(f2)
-    f3 = tendency(a[slot] + 0.5 * h * c2, _rk4_update(1, f2, f1, v, w_arg, h))
-    c3 = system.source_hat(f3)
-    # Stage 4's argument is built in a itself: a copy of the stack would
-    # raise a 64^3 run's peak memory.
-    a[slot] += h * c3
-    f4 = tendency(prop.apply_hat(a, phases, out_slot=slot), _rk4_update(2, f3, f1, v, w_arg, h))
-    a[slot] += (h / 3.0) * (c2 - 2.0 * c3)
-    del c2, c3
-    e_c1 *= h / 6.0
-    a += e_c1
-    del e_c1
-    un = prop.apply_hat(a, phases)
-    del a
-    un[slot] += (h / 6.0) * system.source_hat(f4)
-    return SimState.spectral(state.t + dt, un, _rk4_update(3, f4, f1, v, None, h), ws)
+    phases = prop.phases(0.5 * dt / system.eta)
+    v, w, w_arg = state.v, state.v, np.empty_like(state.v)
+    y = prop.apply_hat(state.spectrum(ws), phases)
+    for i in range(4):
+        f = system.coupled_tendency(system.sample_hat(x) if i else system.coupled_field(state), w)
+        if i == 0:
+            acc, f_acc = prop.apply_hat(system.source_hat(f), phases, slot=slot), f
+            x = np.empty_like(acc[slot])
+        if i < 2:
+            _rk4_update(i, acc[slot] if i == 0 else system.source_hat(f), acc[slot], y[slot], x, dt)
+        elif i == 2:
+            # stage 4's argument goes to y's coupled slot, which x saves
+            # and then restores: a copy of the stack would raise the peak
+            x[...] = y[slot]
+            _rk4_update(2, system.source_hat(f), acc[slot], x, y[slot], dt)
+            x, y[slot] = prop.apply_hat(y, phases, out_slot=slot), x
+        w = _rk4_update(i, f, f_acc, v, w_arg if i < 3 else None, dt)
+    y += np.multiply(acc, dt / 6.0, out=acc)
+    del acc, x
+    un = prop.apply_hat(y, phases)
+    un[slot] += (dt / 6.0) * system.source_hat(f)
+    return SimState.spectral(state.t + dt, un, w, ws)
 
 
 def step(system: SimSystem, state: SimState, cfg: IntegratorConfig) -> SimState:

@@ -14,6 +14,7 @@ from maxmat import (
     box_mask,
     make_initial,
 )
+from maxmat import cores
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,32 @@ def ws8(grid8):
 @pytest.fixture(scope="session")
 def ws16(grid16):
     return FourierWorkspace(grid16)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_helper():
+    """Fail a test that leaves a helper thread of its own on a process that
+    has one usable core, where the package never starts one; then shut it
+    down and put back the helper the process had, so later tests see the
+    process as it is."""
+    before, one_core = cores._helper, cores._usable_cores() == 1
+    yield
+    leaked = cores._helper
+    if one_core and leaked is not None and leaked is not before:
+        leaked.shutdown()
+        cores._helper = before
+        pytest.fail("the test left a helper thread running on one usable core")
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, and a helper thread of the test's own, shut down
+    after it, so that later tests see the helper the process really has."""
+    monkeypatch.setattr(cores, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cores, "_helper", None)
+    yield
+    if cores._helper is not None:
+        cores._helper.shutdown()
 
 
 @pytest.fixture()

@@ -3,8 +3,6 @@ worker, and that it shares its token with the helper's slot tasks."""
 
 import threading
 
-import pytest
-
 from maxmat import cores
 from maxmat.cores import pool_context
 
@@ -12,17 +10,6 @@ from maxmat.cores import pool_context
 def workers_for(points: int) -> int:
     with cores.fft_workers(points) as workers:
         return workers
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """Two usable cores, and a helper thread of the test's own, shut down
-    after it, so that later tests see the helper the process really has."""
-    monkeypatch.setattr(cores, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(cores, "_helper", None)
-    yield
-    if cores._helper is not None:
-        cores._helper.shutdown()
 
 
 def test_threshold_splits_64_cubed_grids_and_not_32_cubed():

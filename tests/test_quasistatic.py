@@ -274,14 +274,14 @@ def test_eta_study_runs_costliest_first_and_the_limit_model_last(qs_system, monk
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_eta_study_pool_with_a_thread_per_core_keeps_the_step_helper_off(
-    threads, qs_system, grid16, monkeypatch
+    threads, qs_system, grid16, two_cores, monkeypatch
 ):
     # _eta_run rejects variable weights, so a stand-in takes one
     # variable-weight step in each task and records the threads of its slots
     import threading
 
     import maxmat.quasistatic as qs
-    from maxmat import NumericalAbort, cores, step
+    from maxmat import NumericalAbort, step
 
     state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
     var_sys = SimSystem(grid16, smooth_coefficients(grid16), qs_system.domain, qs_system.model)
@@ -299,7 +299,6 @@ def test_eta_study_pool_with_a_thread_per_core_keeps_the_step_helper_off(
 
     monkeypatch.setattr(SimSystem, "slot_tendency", recording)
     monkeypatch.setattr(qs, "_eta_run", eta_run)
-    monkeypatch.setattr(cores, "_usable_cores", lambda: 2)
     res = eta_convergence_study(qs_system, state0, EtaStudyConfig(threads=threads, **SCHEDULE_KW))
     assert all(r["failed"] for r in res.rows)
     assert len(names) == 4 * 4 * 2  # 4 runs, 4 stages, 2 slots
