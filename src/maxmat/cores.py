@@ -2,22 +2,25 @@
 
 Every extra thread the package asks for is governed by one rule: the
 helper's slot tasks (:func:`_split`, which the variable-weight RK4 step
-and the free propagator hand their second output slot to) and
-pocketfft's second worker in the workspace's transforms
-(:func:`fft_workers`). Either takes the helper's token, one process-wide
-lock, without waiting and holds it while the extra thread works, and
-only where the calling context allows it (not in a task of a pool that
-already gives every usable core a thread, :func:`pool_context`) and the
-process has two or more usable cores. A caller that cannot take the
+and the free propagator hand their second output slot to, and the
+variable-weight projector, constraint monitor and seeded initial data
+their second slot's potential solve) and pocketfft's second worker in
+the workspace's transforms (:func:`fft_workers`). Either takes the
+helper's token, one process-wide lock, without waiting and holds it
+while the extra thread works, and only where the calling context allows
+it (not in a task of a pool that already gives every usable core a
+thread, :func:`pool_context`) and the process has two or more usable
+cores. A caller that cannot take the
 token runs all of its work itself, so a process never runs more than one
 extra thread of work at a time, nested or concurrent callers cannot
 deadlock, and a transform inside a helper task or a full pool keeps to
 one worker.
 
 The propagator's slot tasks and the two-worker transforms are worth it
-only on large grids (:func:`splits`). pocketfft keeps its worker threads
-after the first two-worker call; a forked child gets neither those nor
-the helper, and both start afresh there on first use.
+only on large grids (:func:`splits`), the potential solves from 32^3
+points (``helmholtz._SPLIT_SOLVE_POINTS``). pocketfft keeps its worker
+threads after the first two-worker call; a forked child gets neither
+those nor the helper, and both start afresh there on first use.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ def fft_workers(points: int):
 
 def _split(task, a, b) -> None:
     """task(a) and task(b), the second on the helper thread when it is free.
+
+    The callers hand it the two EM slots' work: a variable-weight RK4
+    stage, the free propagator's output slots on large grids, and the
+    variable-weight potential solves from 32^3 points
+    (:func:`helmholtz._each_slot`).
 
     The helper is one process-wide thread, started on first use and only
     when the process has two or more usable cores. A caller takes it only

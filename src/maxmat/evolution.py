@@ -100,7 +100,7 @@ from .grid import (
     matter_l2_norm,
     weighted_norm,
 )
-from .helmholtz import _curl_free_norm, constraint_residual, project_complement
+from .helmholtz import _curl_free_norm, _each_slot, constraint_residual, project_complement
 from .models import MatterModel
 from .spectral import (
     FourierWorkspace,
@@ -447,7 +447,9 @@ def make_initial(
     u = shift + P(u_free - shift), that is P(u_free) + (Id - P)(shift of
     v_init): the seed's curl-free content is replaced by the matter's, so
     the constraint residual starts at solver tolerance. Without a seed
-    only the coupled slot is projected; P keeps the other one zero.
+    only the coupled slot is projected; P keeps the other one zero. With
+    one, each slot subtracts its own curl-free part in place, the two
+    split as :func:`helmholtz._each_slot` does.
     """
     v_init = system.matter_state(v_init)
     shape = (6,) + system.grid.shape
@@ -455,10 +457,15 @@ def make_initial(
         raise ValueError(f"u_free must have shape {shape}, got {np.shape(u_free)}")
     u = np.zeros(shape) if u_free is None else np.array(u_free, dtype=float)
     shift = system.source_field(v_init)
+
+    def project(i: int, s: slice, kappa: np.ndarray) -> None:
+        u[s] -= project_complement(u[s], kappa, system.ws)
+
     u[system.slot] -= shift
-    for s, kappa in ((slice(0, 3), system.coeffs.kappa1), (slice(3, 6), system.coeffs.kappa2)):
-        if u_free is not None or s == system.slot:
-            u[s] -= project_complement(u[s], kappa, system.ws)
+    if u_free is None:
+        project(system.model.em_slot - 1, system.slot, system.kappa)
+    else:
+        _each_slot(project, system.coeffs)
     u[system.slot] += shift
     return SimState(t=0.0, u=u, v=v_init.copy())
 

@@ -244,7 +244,8 @@ def save_fields(path, fields: np.ndarray, grid: Grid3) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, SNAPSHOT_VERSION, grid.n, grid.box_len, ncomp))
         for c in range(ncomp):
-            fh.write(np.asarray(fields[c], dtype="<f8").ravel(order="F").tobytes())
+            # the Fortran-order copy is contiguous, so it is written as it is
+            fh.write(np.asarray(fields[c], dtype="<f8").ravel(order="F"))
 
 
 def load_fields(path) -> tuple[np.ndarray, Grid3]:

@@ -23,7 +23,20 @@ makes 6k + 6 in 2k + 2 calls. The kz = 0 and kz = Nyquist planes of the
 source and of every operator output are made exactly Hermitian, as they
 are for a real field; otherwise the preconditioner and the Parseval sums
 would carry the roundoff residue that the inverse transform drops, and a
-source at roundoff would make PCG diverge.
+source at roundoff would make PCG diverge. An iteration allocates only
+what the operator's transforms and divergence return: the gradient goes
+into one buffer per solve, the weight multiplies the inverse transform's
+output in place, and phi, r, z and p are updated in place through one
+scratch half-spectrum, each product and sum with the textbook loop's
+operands, so the iterates are bit for bit the textbook ones.
+
+Whatever reads both slots of an EM field on variable weights on grids
+of 32^3 points and up (the projector of a state, the constraint monitor,
+the seeded initial data) runs the two slots' solves as the two tasks of
+:func:`cores._split`, the second on the helper thread when it is free
+(:func:`_each_slot`); on constant weights and smaller grids both run on
+the calling thread. Each task writes only its own slot, so the result is
+the same bytes on one thread or two.
 
 Constant fields carry no gradient content on the torus, so the zero mode
 always lands in the divergence-free part.
@@ -33,12 +46,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cores import _split
 from .grid import Coefficients, require_same_grid, weighted_norm
 from .spectral import FourierWorkspace
 
 # PCG stops once the residual is below PCG_RTOL times the source norm.
 PCG_RTOL = 1e-12
 PCG_MAX_ITER = 400
+
+# Variable weights on grids of at least this many points split the two
+# slots' solves over the helper thread. Medians on a 2-core x86-64 guest
+# (scipy 1.17), split against inline: two 8^3 solves 8.6-9.2 / 4.5-6.2 ms,
+# a 16^3 constraint sample on smooth weights 11.9-13.5 / 9.7-10.4 ms, a
+# 32^3 one 26.5 / 44.1 ms. Below it the split only lost.
+_SPLIT_SOLVE_POINTS = 32**3
 
 
 class ProjectionSolveError(RuntimeError):
@@ -82,31 +103,35 @@ def _potential_hat(b: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -> np
         return ws.inv_xi_sq * b / float(kappa.flat[0])
 
     # PCG on half-spectra. xi vanishes at the zero mode, so every iterate
-    # has zero mean and the gauge needs no step of its own.
-    def neg_div(w: np.ndarray) -> np.ndarray:
-        return ws.hermitian_planes(ws.div_hat(ws.forward(kappa * w), -1.0))
-
+    # has zero mean and the gauge needs no step of its own. Every in-place
+    # product and sum keeps the textbook loop's operands, so its bits.
     bnorm = np.sqrt(ws.inner_hat(b, b))
     phi = np.zeros_like(b)
     if bnorm == 0.0:
         return phi
+    grad = np.empty((3,) + b.shape, dtype=complex)
+    scratch = np.empty_like(b)
     r = b.copy()
     z = ws.inv_xi_sq * r
     p = z.copy()
     rz = ws.inner_hat(r, z)
     for _ in range(PCG_MAX_ITER):
-        Ap = neg_div(ws.inverse(ws.grad_hat(p)))
+        w = ws.inverse(ws.grad_hat(p, out=grad))
+        Ap = ws.hermitian_planes(ws.div_hat(ws.forward(np.multiply(kappa, w, out=w)), -1.0))
+        # released here, not before the divergence: that peaked one field
+        # lower but took 3,137 minor faults per 32^3 solve instead of 841
+        del w
         pAp = ws.inner_hat(p, Ap)
         if pAp <= 0:
             raise ProjectionSolveError("PCG lost positive definiteness; check the weight field")
         alpha = rz / pAp
-        phi += alpha * p
-        r -= alpha * Ap
+        phi += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, Ap, out=scratch)
         if np.sqrt(ws.inner_hat(r, r)) <= PCG_RTOL * bnorm:
             return phi
-        z = ws.inv_xi_sq * r
+        np.multiply(ws.inv_xi_sq, r, out=z)
         rz_new = ws.inner_hat(r, z)
-        p = z + (rz_new / rz) * p
+        np.add(z, np.multiply(rz_new / rz, p, out=p), out=p)
         rz = rz_new
     raise ProjectionSolveError(
         f"PCG did not reach rtol={PCG_RTOL} within {PCG_MAX_ITER} iterations "
@@ -122,13 +147,37 @@ def project_P(state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> 
 def project_complement_state(
     state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace
 ) -> np.ndarray:
-    """Curl-free part of an EM state, slot by slot in its own weight."""
+    """Curl-free part of an EM state, slot by slot in its own weight
+    (:func:`_each_slot`)."""
     if state.shape != (6,) + ws.grid.shape:
         raise ValueError(f"expected an EM state on {ws.grid.shape}, got {state.shape}")
     out = np.empty_like(state)
-    out[0:3] = project_complement(state[0:3], coeffs.kappa1, ws)
-    out[3:6] = project_complement(state[3:6], coeffs.kappa2, ws)
+
+    def project(i: int, s: slice, kappa: np.ndarray) -> None:
+        out[s] = project_complement(state[s], kappa, ws)
+
+    _each_slot(project, coeffs)
     return out
+
+
+def _each_slot(task, coeffs: Coefficients) -> None:
+    """task(i, s, kappa) for both EM slots: i = 0, 1, s the slot's slice of
+    a (6, ...) stack and kappa its weight.
+
+    When the weights vary, each slot's work is a potential solve and, on
+    grids of ``_SPLIT_SOLVE_POINTS`` points and up, the two run as the two
+    tasks of :func:`cores._split`, the second on the helper thread when it
+    is free. On constant weights a solve is a multiplier, and on smaller
+    grids a solve is too short for the hand-off; then both run here, one
+    after the other, as the spectral slots of an RK4 step do. A task
+    writes only its own slot's results.
+    """
+    slots = ((0, slice(0, 3), coeffs.kappa1), (1, slice(3, 6), coeffs.kappa2))
+    if coeffs.is_constant or coeffs.kappa1.size < _SPLIT_SOLVE_POINTS:
+        for slot in slots:
+            task(*slot)
+    else:
+        _split(lambda slot: task(*slot), *slots)
 
 
 def constraint_residual(
@@ -166,11 +215,19 @@ def _curl_free_norm(sources: list, coeffs: Coefficients, ws: FourierWorkspace) -
 
     The curl-free part of slot w is grad phi with -div(k grad phi) = b, so
     its squared weighted norm is <b, phi> by parts: per slot the potential
-    solve and a Parseval sum, and no gradient field. The sources' kz = 0 and
-    Nyquist planes are made Hermitian in place.
+    solve and a Parseval sum, and no gradient field, split over the slots
+    as :func:`_each_slot` does. The sum adds slot 1 then slot 2, whichever
+    thread ran them. The sources' kz = 0 and Nyquist planes are made
+    Hermitian in place.
     """
+    parts = [0.0, 0.0]
+
+    def solve(i: int, s: slice, kappa: np.ndarray) -> None:
+        b = ws.hermitian_planes(sources[i])
+        parts[i] = ws.inner_hat(b, _potential_hat(b, kappa, ws))
+
+    _each_slot(solve, coeffs)
     sq = 0.0
-    for b, kappa in zip(sources, (coeffs.kappa1, coeffs.kappa2)):
-        ws.hermitian_planes(b)
-        sq += ws.inner_hat(b, _potential_hat(b, kappa, ws))
+    for part in parts:
+        sq += part
     return float(np.sqrt(max(ws.grid.cell_volume / ws.grid.n**3 * sq, 0.0)))

@@ -199,9 +199,10 @@ class FourierWorkspace:
         out += np.multiply(x2, vhat[2], out=term)
         return out
 
-    def grad_hat(self, phat: np.ndarray) -> np.ndarray:
-        """i xi phat: the half-spectrum of grad p."""
-        out = np.empty((3,) + phat.shape, dtype=complex)
+    def grad_hat(self, phat: np.ndarray, out=None) -> np.ndarray:
+        """i xi phat: the half-spectrum of grad p, written into ``out`` when given."""
+        if out is None:
+            out = np.empty((3,) + phat.shape, dtype=complex)
         for x, o in zip(self._scaled_xi(1.0), out):
             np.multiply(x, phat, out=o)
         return out

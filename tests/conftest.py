@@ -63,6 +63,13 @@ def two_cores(monkeypatch):
         cores._helper.shutdown()
 
 
+@contextlib.contextmanager
+def helper_held():
+    """Hold the helper's token, so that every split runs inline."""
+    with cores._helper_lock:
+        yield
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)

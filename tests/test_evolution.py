@@ -52,6 +52,7 @@ from maxmat.quasistatic import reduced_rhs
 
 from .conftest import (
     count_transforms,
+    helper_held,
     record_fft_workers,
     smooth_coefficients,
     tilted_magnetization,
@@ -558,13 +559,6 @@ def test_threads_step_one_system(weights, ll_system, grid16, rng):
     for g, e in zip(got, expect):
         for a, b in zip(_held(g), _held(e)):
             np.testing.assert_array_equal(a, b)
-
-
-@contextlib.contextmanager
-def helper_held():
-    """Hold the step's helper thread, so that every slot split runs inline."""
-    with cores._helper_lock:
-        yield
 
 
 def record_slot_threads(monkeypatch) -> list:

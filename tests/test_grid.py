@@ -1,5 +1,7 @@
 """Grid container, domain mask, weighted quadrature, and snapshot I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,28 @@ def test_snapshot_round_trip(tmp_path, grid16, rng):
     back, g2 = load_fields(path)
     assert g2 == grid16
     np.testing.assert_array_equal(back, fields)
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+def test_snapshot_body_is_x_fastest_component_by_component(tmp_path, grid8, layout):
+    # the bytes built value by value, independently of the writer: header,
+    # then per component the little-endian f64 values with x fastest
+    i, j, k = np.indices(grid8.shape)
+    fields = np.stack([c * 1000.0 + i + 10.0 * j + 100.0 * k + 0.25 for c in range(3)])
+    expect = struct.pack("<4sIIdI", b"MXMT", 1, grid8.n, grid8.box_len, 3)
+    for c in range(3):
+        for z in range(grid8.n):
+            for y in range(grid8.n):
+                for x in range(grid8.n):
+                    expect += struct.pack("<d", fields[c, x, y, z])
+    given_fields = {
+        "c": fields,
+        "fortran": np.asfortranarray(fields),
+        "strided": np.repeat(fields, 2, axis=0)[::2],
+    }[layout]
+    path = tmp_path / "snap.bin"
+    save_fields(path, given_fields, grid8)
+    assert path.read_bytes() == expect
 
 
 def test_snapshot_rejects_garbage(tmp_path):

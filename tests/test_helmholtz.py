@@ -5,6 +5,9 @@ the discrete potential problem assembled mode by mode on a small grid, so
 the iterative solver is never trusted on its own word.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,16 @@ from maxmat import (
     Coefficients,
     FourierWorkspace,
     Grid3,
+    SimState,
+    SimSystem,
     apply_B,
     curl,
+    make_initial,
     weighted_inner,
     weighted_norm,
 )
 import maxmat.helmholtz as helmholtz
+from maxmat import cores
 from maxmat.spectral import safe_div
 from maxmat.helmholtz import (
     ProjectionSolveError,
@@ -27,7 +34,13 @@ from maxmat.helmholtz import (
     project_complement_state,
 )
 
-from .conftest import count_transforms, random_state, smooth_coefficients
+from .conftest import (
+    count_transforms,
+    helper_held,
+    random_state,
+    smooth_coefficients,
+    tilted_magnetization,
+)
 
 
 def oracle_complement_dense(v, kappa, grid):
@@ -299,3 +312,178 @@ def test_solver_reports_exhaustion(grid16, ws16, rng, monkeypatch):
     v = rng.standard_normal((3,) + grid16.shape)
     with pytest.raises(ProjectionSolveError):
         project_complement(v, co.kappa1, ws16)
+
+
+def record_solve_threads(monkeypatch) -> list:
+    """Record the thread name of every potential solve."""
+    names = []
+    original = helmholtz._potential_hat
+
+    def recording(b, kappa, ws):
+        names.append(threading.current_thread().name)
+        return original(b, kappa, ws)
+
+    monkeypatch.setattr(helmholtz, "_potential_hat", recording)
+    return names
+
+
+def on_helper(names) -> int:
+    return sum(name.startswith("maxmat-helper") for name in names)
+
+
+def split_at_16(monkeypatch, grid16):
+    """Split the solves of 16^3 variable weights over the helper."""
+    monkeypatch.setattr(helmholtz, "_SPLIT_SOLVE_POINTS", grid16.n**3)
+
+
+def test_split_solves_are_bitwise_the_inline_ones(two_cores, ll_system, grid16, rng, monkeypatch):
+    # the monitor, the seeded initial data and the projector, each with its
+    # two slots' solves on two threads and then on one, give the same bytes
+    split_at_16(monkeypatch, grid16)
+    sys_ = SimSystem(grid16, smooth_coefficients(grid16), ll_system.domain, ll_system.model)
+    v0 = tilted_magnetization(sys_.domain)
+    seed = rng.standard_normal((6,) + grid16.shape)
+    field = random_state(rng, grid16)
+    names = record_solve_threads(monkeypatch)
+
+    def outputs():
+        state = make_initial(sys_, v0, u_free=seed)
+        physical = SimState(0.0, field, state.v)
+        return (state.u.tobytes(), repr(sys_.constraint_residual(physical)),
+                project_complement_state(field, sys_.coeffs, sys_.ws).tobytes())
+
+    split = outputs()
+    assert len(names) == 6 and on_helper(names) == 3
+    names.clear()
+    with helper_held():
+        inline = outputs()
+    assert len(names) == 6 and on_helper(names) == 0
+    assert split == inline
+
+
+def test_variable_weights_split_from_32_cubed(two_cores, rng, monkeypatch):
+    grid = Grid3(32, 1.0)
+    u = random_state(rng, grid)
+    names = record_solve_threads(monkeypatch)
+    project_complement_state(u, smooth_coefficients(grid), FourierWorkspace(grid))
+    assert len(names) == 2 and on_helper(names) == 1
+
+
+def test_helper_side_solve_failure_reaches_the_caller(two_cores, grid16, ws16, rng, monkeypatch):
+    # slot 1 is zero, so its solve returns at once on the calling thread;
+    # slot 2's PCG stalls on the helper
+    split_at_16(monkeypatch, grid16)
+    monkeypatch.setattr(helmholtz, "PCG_MAX_ITER", 1)
+    co = smooth_coefficients(grid16)
+    u = np.zeros((6,) + grid16.shape)
+    u[3:6] = rng.standard_normal((3,) + grid16.shape)
+    failed = []
+    original = helmholtz._potential_hat
+
+    def recording(b, kappa, ws):
+        try:
+            return original(b, kappa, ws)
+        except ProjectionSolveError:
+            failed.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(helmholtz, "_potential_hat", recording)
+    for call in (lambda: project_complement_state(u, co, ws16),
+                 lambda: constraint_residual(u, np.zeros_like(u), co, ws16)):
+        failed.clear()
+        with pytest.raises(ProjectionSolveError):
+            call()
+        assert len(failed) == 1 and on_helper(failed) == 1
+    assert not cores._helper_lock.locked()
+
+
+@pytest.mark.parametrize("case", ["constant", "small"])
+def test_solves_stay_on_the_calling_thread(case, two_cores, ll_system, grid16, ws16, rng,
+                                           monkeypatch):
+    # constant weights at any size, and variable ones below the threshold
+    if case == "constant":
+        split_at_16(monkeypatch, grid16)
+        co = Coefficients.constant(grid16, 2.0, 0.5)
+    else:
+        assert grid16.n**3 < helmholtz._SPLIT_SOLVE_POINTS
+        co = smooth_coefficients(grid16)
+    sys_ = SimSystem(grid16, co, ll_system.domain, ll_system.model)
+    u = random_state(rng, grid16)
+    names = record_solve_threads(monkeypatch)
+    state = make_initial(sys_, tilted_magnetization(sys_.domain), u_free=u)
+    sys_.constraint_residual(state)
+    sys_.constraint_residual(SimState(0.0, u, state.v))
+    project_complement_state(u, co, ws16)
+    assert len(names) == 8
+    assert set(names) == {threading.current_thread().name}
+    assert cores._helper is None
+
+
+def test_concurrent_callers_share_the_helper_bitwise(two_cores, grid16, rng, monkeypatch):
+    # four threads project and monitor on one fresh workspace at once; the
+    # caller that holds the helper's token hands it a solve, the others run
+    # both inline, and every result is the inline bytes
+    split_at_16(monkeypatch, grid16)
+    co = smooth_coefficients(grid16)
+    fields = [random_state(rng, grid16) for _ in range(4)]
+    zero = np.zeros_like(fields[0])
+
+    def outputs(ws, u):
+        return (project_complement_state(u, co, ws).tobytes(),
+                repr(constraint_residual(u, zero, co, ws)))
+
+    with helper_held():
+        expect = [outputs(FourierWorkspace(grid16), u) for u in fields]
+    ws = FourierWorkspace(grid16)
+    got = [None] * len(fields)
+
+    def worker(i):
+        for _ in range(2):
+            got[i] = outputs(ws, fields[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,)) for i in range(len(fields))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == expect
+    assert not cores._helper_lock.locked()
+
+
+def test_pcg_updates_its_iterates_in_place(grid16, ws16, rng, monkeypatch):
+    # p, r and z keep their buffers, and every gradient is written into one,
+    # whatever the number of iterations
+    co = smooth_coefficients(grid16)
+    v = rng.standard_normal((3,) + grid16.shape)
+    b = ws16.hermitian_planes(ws16.div_hat(ws16.forward(co.kappa1 * v), -1.0))
+    products, gradients = [], []
+    inner, inverse = FourierWorkspace.inner_hat, FourierWorkspace.inverse
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    def recording_inner(ws, a, c):
+        products.append((address(a), address(c)))
+        return inner(ws, a, c)
+
+    def recording_inverse(ws, spectra):
+        gradients.append(address(spectra))
+        return inverse(ws, spectra)
+
+    monkeypatch.setattr(FourierWorkspace, "inner_hat", recording_inner)
+    monkeypatch.setattr(FourierWorkspace, "inverse", recording_inverse)
+    helmholtz._potential_hat(b, co.kappa1, ws16)
+    # <b, b>, <r, z>, then per iteration <p, Ap>, <r, r> and, but the last, <r, z>
+    iters = len(gradients)
+    assert iters > 3 and len(products) == 2 + 3 * iters - 1
+    loop = products[2:]
+    p = {a for a, _ in loop[0::3]}
+    r = {a for a, _ in loop[1::3]} | {a for a, _ in loop[2::3]} | {products[1][0]}
+    z = {c for _, c in loop[2::3]} | {products[1][1]}
+    assert len(p) == len(r) == len(z) == len(set(gradients)) == 1
