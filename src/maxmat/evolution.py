@@ -48,25 +48,15 @@ only each other's input slot, so then each slot's tendency
 matter source, in the field's form) and its share of the stage arithmetic
 run as one task, which writes its slot of the next stage
 argument; that argument alternates between two buffers, so no task
-writes what the other still reads. Physical slots split over two
-threads: one task runs on a single process-wide helper thread
-(:func:`cores._split`). Spectral slots, a multiplier each, run one after
-the other on the calling thread. One rule, in :mod:`cores`, governs every
-extra thread the package asks for: these slot tasks, the free
-propagator's two output-slot tasks on 64^3 grids and up (so the Lawson
-step's whole-stack and source applications split too) and pocketfft's
-second worker in the workspace's transforms on those grids. Each takes
-the helper's one token without waiting; a caller that cannot, or a task
-of a pool that already has a thread per usable core, such as the eta
-sweep's (:func:`cores.pool_context`), does all of its work itself, so
-nested and concurrent steppers never wait and a transform inside a
-slot task has one worker. pocketfft keeps its two pool threads after the
-first two-worker transform and restarts them in a forked child, as the
-child starts its own helper. The stage buffers and both stage
-arguments, shaped to the form, and in physical form a curl buffer per
-slot, are work arrays that the system keeps per thread (:meth:`SimSystem._step_buffers`). The stage sum
-accumulates in the first stage's buffer in the textbook order, so the
-only six-component field a step allocates is its result (and the
+writes what the other still reads. The two tasks go to
+:func:`cores._split`, which decides whether one of them runs on the
+single process-wide helper thread, as it does for the two output slots
+of the free propagator that the Lawson step applies and for the
+potential solves. The stage buffers and both stage arguments, shaped to
+the form, and in physical form a curl buffer per slot, are work arrays
+that the system keeps per thread (:meth:`SimSystem._step_buffers`). The
+stage sum accumulates in the first stage's buffer in the textbook order,
+so the only six-component field a step allocates is its result (and the
 spectrum of a physical state on constant weights), which is
 bit-identical to the textbook expression with or without the helper,
 and with one transform worker or two.
@@ -256,15 +246,15 @@ class SimSystem:
         system (:func:`quasistatic.with_eta`) share them only within one
         thread, where steps run one at a time. The helper thread of
         :func:`cores._split` writes slot slices of the calling thread's field
-        arrays and one of its curl buffers, and only while that thread
-        waits for it. Made afresh at every step they left the allocator
-        growing and trimming its heap: a 32^3 physical step took 964 or
-        3088-3664 minor page faults, depending on the heap's state, where
-        kept ones take 0-364 (1732 with the fresh temporaries of textbook
-        RK4), on a 2-core x86-64 guest. The fields, and the curl buffers,
-        are one allocation each: with four and two, a 32^3 physical step
-        of three 60-step runs in one process took 44 minor faults, with
-        one each 23.
+        arrays and, in physical form, one of its curl buffers, and only
+        while that thread waits for it. Made afresh at every step they left
+        the allocator growing and trimming its heap: a 32^3 physical step
+        took 964 or 3088-3664 minor page faults, depending on the heap's
+        state, where kept ones take 0-364 (1732 with the fresh temporaries
+        of textbook RK4), on a 2-core x86-64 guest. The fields, and the
+        curl buffers, are one allocation each: with four and two, a 32^3
+        physical step of three 60-step runs in one process took 44 minor
+        faults, with one each 23.
         """
         bufs = getattr(self._work, "rk4", None)
         if bufs is None:
@@ -557,16 +547,13 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
     share of the stage arithmetic (:func:`_rk4_update`). A task reads the
     other slot of the argument and writes its own slot of the next one,
     so the stage arguments alternate between two buffers and no task
-    writes what the other still reads. Physical slots go through
-    :func:`cores._split`, which runs one task on the helper thread when it
-    is free. Spectral slots, a multiplier each, run here: handing one over
-    costs more than it saves (a 6-level Bloch step at 16^3, median of 200
-    steps in each of 8 runs, took 5.0-7.6 ms split and 3.7-5.4 ms inline
-    on a 2-core x86-64 guest). The tendencies go to the first
-    stage's buffer, where the sum accumulates, and then to one buffer the
-    later stages share; all are :meth:`SimSystem._step_buffers`. Once
-    both tasks are done, the matter takes its share of the stage
-    arithmetic, which doubles the matter tendency that the source read.
+    writes what the other still reads. Both tasks go to
+    :func:`cores._split`, which may run one on the helper thread. The
+    tendencies go to the first stage's buffer, where the sum accumulates,
+    and then to one buffer the later stages share; all are
+    :meth:`SimSystem._step_buffers`. Once both tasks are done, the matter
+    takes its share of the stage arithmetic, which doubles the matter
+    tendency that the source read.
     All of the arithmetic is :func:`_rk4_update`'s and B's sign and 1/eta
     are exact, so the result, a new array, is bit-identical to the
     textbook step in either form, with either thread count.
@@ -588,12 +575,7 @@ def _rk4_step(system: SimSystem, state: SimState, dt: float) -> SimState:
             system.slot_tendency(x, dst, kk, f, curl_buf)
             _rk4_update(i, kk[dst], acc[dst], u[dst], nxt[dst], dt)
 
-        slots = (slice(0, 3), curl1), (slice(3, 6), curl2)
-        if spectral:
-            for slot in slots:
-                slot_stage(slot)
-        else:
-            _split(slot_stage, *slots)
+        _split(system.ws.points, slot_stage, (slice(0, 3), curl1), (slice(3, 6), curl2))
         if i == 0:
             f_acc = f
         w = _rk4_update(i, f, f_acc, v, w_arg if i < 3 else None, dt)

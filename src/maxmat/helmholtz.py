@@ -30,13 +30,10 @@ output in place, and phi, r, z and p are updated in place through one
 scratch half-spectrum, each product and sum with the textbook loop's
 operands, so the iterates are bit for bit the textbook ones.
 
-Whatever reads both slots of an EM field on variable weights on grids
-of 32^3 points and up (the projector of a state, the constraint monitor,
-the seeded initial data) runs the two slots' solves as the two tasks of
-:func:`cores._split`, the second on the helper thread when it is free
-(:func:`_each_slot`); on constant weights and smaller grids both run on
-the calling thread. Each task writes only its own slot, so the result is
-the same bytes on one thread or two.
+Whatever reads both slots of an EM field (the projector of a state, the
+constraint monitor, the seeded initial data) runs one task per slot
+(:func:`_each_slot`). Each task writes only its own slot, so the result
+is the same bytes on one thread or two.
 
 Constant fields carry no gradient content on the torus, so the zero mode
 always lands in the divergence-free part.
@@ -53,13 +50,6 @@ from .spectral import FourierWorkspace
 # PCG stops once the residual is below PCG_RTOL times the source norm.
 PCG_RTOL = 1e-12
 PCG_MAX_ITER = 400
-
-# Variable weights on grids of at least this many points split the two
-# slots' solves over the helper thread. Medians on a 2-core x86-64 guest
-# (scipy 1.17), split against inline: two 8^3 solves 8.6-9.2 / 4.5-6.2 ms,
-# a 16^3 constraint sample on smooth weights 11.9-13.5 / 9.7-10.4 ms, a
-# 32^3 one 26.5 / 44.1 ms. Below it the split only lost.
-_SPLIT_SOLVE_POINTS = 32**3
 
 
 class ProjectionSolveError(RuntimeError):
@@ -164,20 +154,19 @@ def _each_slot(task, coeffs: Coefficients) -> None:
     """task(i, s, kappa) for both EM slots: i = 0, 1, s the slot's slice of
     a (6, ...) stack and kappa its weight.
 
-    When the weights vary, each slot's work is a potential solve and, on
-    grids of ``_SPLIT_SOLVE_POINTS`` points and up, the two run as the two
-    tasks of :func:`cores._split`, the second on the helper thread when it
-    is free. On constant weights a solve is a multiplier, and on smaller
-    grids a solve is too short for the hand-off; then both run here, one
-    after the other, as the spectral slots of an RK4 step do. A task
-    writes only its own slot's results.
+    When the weights vary, each slot's work is a potential solve, and the
+    two run as the two tasks of :func:`cores._split`. On constant weights a
+    solve is a multiplier and both run here, one after the other. Split,
+    both slots' projector transforms are live at once: seeded 64^3 initial
+    data took 40 ms instead of 52, but the peak RSS of a 64^3
+    constant-weight Lawson run rose from 191.5-194.1 MB to 212.1-212.5 MB.
     """
     slots = ((0, slice(0, 3), coeffs.kappa1), (1, slice(3, 6), coeffs.kappa2))
-    if coeffs.is_constant or coeffs.kappa1.size < _SPLIT_SOLVE_POINTS:
+    if coeffs.is_constant:
         for slot in slots:
             task(*slot)
     else:
-        _split(lambda slot: task(*slot), *slots)
+        _split(coeffs.kappa1.size, lambda slot: task(*slot), *slots)
 
 
 def constraint_residual(

@@ -225,8 +225,8 @@ def eta_convergence_study(
 
     The eta runs and the limit model share one pool of ``cfg.threads``
     threads, each task in a copy of the caller's context (numpy's error
-    state included) that keeps a variable-weight step off its helper
-    thread when the pool has a thread per usable core
+    state included) that keeps every step off the helper thread when the
+    pool has a thread per usable core
     (:func:`cores.pool_context`). The runs are queued costliest
     first, that is in increasing eta, and the limit model last, so that
     the longest run is not the one that ends alone. The queue is first

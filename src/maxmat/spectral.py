@@ -16,15 +16,10 @@ returns the field on the box only, equal to ``inverse`` to roundoff. Both
 make one scalar transform per leading component in the package's
 transform counts.
 
-On grids of 64^3 points and up the workspace's four transforms hand
-pocketfft a second worker, and the free propagator computes its two
-output slots as two tasks of the helper thread. Both follow the one rule
-that governs every extra thread the package asks for (:mod:`cores`):
-take the helper's token without waiting, in a context that allows it,
-on two or more usable cores, or do the work on the calling thread alone.
-Both are bit-identical to the one-thread result. pocketfft keeps its
-worker threads after the first two-worker call; a forked child gets its
-own.
+The workspace's four transforms ask :func:`cores.fft_workers` for their
+pocketfft worker count, and the free propagator hands its two output
+slots to :func:`cores._split`; :mod:`cores` alone decides when a second
+thread works. Both are bit-identical to the one-thread result.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .cores import _split, fft_workers, splits
+from .cores import _split, fft_workers
 from .grid import Coefficients, Grid3, require_same_grid
 
 
@@ -381,14 +376,10 @@ class FreePropagator:
         it. With ``out_slot`` only that slot of the result is computed and
         returned as a (3, ...) spectrum.
 
-        When both output slots are computed (without ``out_slot``), on
-        grids that :func:`cores.splits`, they run as two tasks of
-        :func:`cores._split`: the second on the helper thread when the
-        caller can take its token, each writing its slot of the one
-        output. They read the same inputs and write disjoint memory, so
-        the result is bit-identical either way; at 64^3 an application
-        to a 6-stack took 19.6 ms on one thread and 10.0 on two, on a
-        2-core x86-64 guest.
+        When both output slots are computed (without ``out_slot``), they
+        run as the two tasks of :func:`cores._split`, each writing its slot
+        of the one output. They read the same inputs and write disjoint
+        memory, so the result is bit-identical on one thread or two.
         """
         if slot is None:
             u1, u2 = state_hat[_SLOT1], state_hat[_SLOT2]
@@ -410,11 +401,10 @@ class FreePropagator:
             u, w, rot = jobs[i]
             self._slot_hat(u, w, c, par, rot, out[3 * i : 3 * i + 3])
 
-        if len(jobs) == 2 and splits(self.ws.points):
-            _split(slot_task, 0, 1)
+        if len(jobs) == 2:
+            _split(self.ws.points, slot_task, 0, 1)
         else:
-            for i in range(len(jobs)):
-                slot_task(i)
+            slot_task(0)
         return out
 
     def _slot_hat(self, u, w, c, par, rot, out: np.ndarray) -> None:

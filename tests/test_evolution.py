@@ -518,12 +518,14 @@ def test_steps_leave_the_states_they_read_and_return_unchanged(form, ll_system, 
 
 
 @pytest.mark.parametrize("weights", ["variable", "constant"])
-def test_threads_step_one_system(weights, ll_system, grid16, rng):
+def test_threads_step_one_system(weights, ll_system, grid16, rng, monkeypatch):
     # the work buffers of the RK4 step, physical or spectral, are per
-    # thread, so threads may step one system (or its with_eta copies) at once
+    # thread, so threads may step one system (or its with_eta copies) at
+    # once, the one that holds the helper's token splitting its slots
     import sys
     import threading
 
+    monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
     co = smooth_coefficients(grid16) if weights == "variable" else ll_system.coeffs
     sys_ = SimSystem(grid16, co, ll_system.domain, ll_system.model)
     starts = [
@@ -582,6 +584,7 @@ def helper_ran(calls) -> bool:
 def test_variable_rk4_step_is_bitwise_the_same_with_and_without_the_helper(
     eta, ll_system, grid16, rng, monkeypatch
 ):
+    monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
     sys_ = SimSystem(grid16, smooth_coefficients(grid16), ll_system.domain, ll_system.model,
                      eta=eta)
     state0 = make_initial(sys_, tilted_magnetization(sys_.domain),
@@ -605,9 +608,60 @@ def test_variable_rk4_step_is_bitwise_the_same_with_and_without_the_helper(
     assert split.v.tobytes() == inline.v.tobytes()
 
 
+def _bloch_6level_system(grid, eta):
+    # a polarization x ladder dipole, the form the scenario parser builds
+    ladder = np.diag([1.0, 0.9, 1.1, 0.8, 1.2], 1)
+    d = np.array([0.6, 0.0, 0.8])[:, None, None] * (ladder + ladder.T)
+    co = Coefficients.constant(grid, 0.8, 1.3)
+    w = 2 * grid.spacing
+    dom = box_mask(grid, (0.5, 0.5, 0.5), (w, w, w))
+    model = BlochModel(levels=(0.0, 1.0, 2.1, 3.0, 4.2, 5.1), dipole=d, relax=0.1)
+    return SimSystem(grid, co, dom, model, eta=eta)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["landau_lifschitz", "bloch"])
+def test_constant_rk4_step_is_bitwise_the_same_with_and_without_the_helper(
+    kind, eta, two_cores, ll_system, grid16, rng, monkeypatch
+):
+    # with the slot threshold at 16^3 the spectral step hands one slot task
+    # of every stage to the helper; held, both run here, to the same bits
+    monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
+    if kind == "bloch":
+        sys_ = _bloch_6level_system(grid16, eta)
+        rho = np.zeros((6, 6, sys_.domain.count), dtype=complex)
+        rho[0, 0] = rho[3, 3] = rho[0, 3] = rho[3, 0] = 0.5
+        v0 = pack_rho(rho)
+    else:
+        sys_ = SimSystem(grid16, Coefficients.constant(grid16, 0.7, 1.9), ll_system.domain,
+                         ll_system.model, eta=eta)
+        v0 = tilted_magnetization(sys_.domain)
+    state0 = make_initial(sys_, v0, u_free=rng.standard_normal((6,) + grid16.shape))
+    cfg = IntegratorConfig(dt=2e-3, t_end=2e-3, scheme="rk4")
+    calls = record_slot_threads(monkeypatch)
+
+    def advance():
+        state = state0
+        for _ in range(3):
+            state = step(sys_, state, cfg)
+        return state
+
+    split = advance()
+    assert helper_ran(calls) and len(calls) == 3 * 4 * 2
+    calls.clear()
+    with helper_held():
+        inline = advance()
+    assert not helper_ran(calls) and len(calls) == 3 * 4 * 2
+    assert split.u_hat is not None and split.u_hat.tobytes() == inline.u_hat.tobytes()
+    assert split.v.tobytes() == inline.v.tobytes()
+    # not vacuous: the matter moved
+    assert np.abs(split.v - v0).max() > 1e-6
+
+
 def test_helper_side_overflow_raises_in_the_caller(ll_system, grid16, rng, monkeypatch):
     # slot 2 of B u reads slot 1; a huge slot 1 off the matter domain makes
     # the curl multiplier of slot 2's task overflow, and nothing else
+    monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
     sys_ = SimSystem(grid16, smooth_coefficients(grid16), ll_system.domain, ll_system.model)
     v = tilted_magnetization(sys_.domain)
     huge = np.zeros((6,) + grid16.shape)
@@ -659,10 +713,11 @@ def record_propagator_threads(monkeypatch) -> list:
 def test_lawson_step_is_bitwise_the_same_on_two_cores_and_one(
     kind, eta, ll_system, grid16, rng, monkeypatch
 ):
-    # with the size threshold at 16^3 the propagator splits its output slots
-    # over the helper and the transforms take a second worker; held, the
-    # helper runs nothing and every transform has one worker
+    # with both size thresholds at 16^3 the propagator splits its output
+    # slots over the helper and the transforms take a second worker; held,
+    # the helper runs nothing and every transform has one worker
     monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
+    monkeypatch.setattr(cores, "TWO_WORKER_POINTS", grid16.n**3)
     if kind == "bloch":
         sys_ = _bloch_system(grid16, eta=eta)
         rho = np.zeros((3, 3, sys_.domain.count), dtype=complex)
@@ -704,6 +759,7 @@ from maxmat import Coefficients, LandauLifschitzModel, SimState, SimSystem, Grid
 from maxmat import IntegratorConfig, cores, step
 import numpy as np
 g = Grid3(8, 1.0)
+cores.SPLIT_POINTS = g.n**3  # the step splits its slots as a 32^3 one does
 xx, yy, zz = g.meshgrid()
 co = Coefficients(1.5 + np.sin(2 * np.pi * xx), 1.5 + np.cos(2 * np.pi * yy))
 dom = box_mask(g, (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))

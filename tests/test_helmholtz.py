@@ -333,7 +333,7 @@ def on_helper(names) -> int:
 
 def split_at_16(monkeypatch, grid16):
     """Split the solves of 16^3 variable weights over the helper."""
-    monkeypatch.setattr(helmholtz, "_SPLIT_SOLVE_POINTS", grid16.n**3)
+    monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
 
 
 def test_split_solves_are_bitwise_the_inline_ones(two_cores, ll_system, grid16, rng, monkeypatch):
@@ -405,7 +405,7 @@ def test_solves_stay_on_the_calling_thread(case, two_cores, ll_system, grid16, w
         split_at_16(monkeypatch, grid16)
         co = Coefficients.constant(grid16, 2.0, 0.5)
     else:
-        assert grid16.n**3 < helmholtz._SPLIT_SOLVE_POINTS
+        assert grid16.n**3 < cores.SPLIT_POINTS
         co = smooth_coefficients(grid16)
     sys_ = SimSystem(grid16, co, ll_system.domain, ll_system.model)
     u = random_state(rng, grid16)

@@ -1,12 +1,14 @@
 """Source hygiene: no module of the package imports a name it never uses,
 assigns a local it never reads or calls a numpy FFT transform; no module
 but ``spectral`` imports ``scipy.fft`` or reads the workspace's
-rfft-layout tables (``xi``, ``mode_weights``); every source file parses
+rfft-layout tables (``xi``, ``mode_weights``); no module but ``cores``
+reads the rule that puts a second thread to work; every source file parses
 as the oldest Python the package admits; and every name the benchmark
 tracer wraps still exists."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,52 @@ def test_scan_finds_layout_table_read():
 )
 def test_layout_tables_stay_in_spectral(path):
     assert layout_table_reads(path.read_text()) == []
+
+
+# What decides whether a second thread works: a size threshold (an
+# upper-case name ending in _POINTS), the helper's token and the core
+# count. Only cores.py reads them; every other module hands its work to
+# _split or asks fft_workers.
+SPLIT_RULE = re.compile(r"_?[A-Z0-9_]*_POINTS|_helper_lock|_usable_cores")
+
+
+def split_rule_reads(source: str) -> list[str]:
+    """Uses and imports of a name of the split rule, by name and line."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        reads += [(node.lineno, name) for name in names if SPLIT_RULE.fullmatch(name)]
+    return [f"{name} (line {line})" for line, name in sorted(reads)]
+
+
+def test_scan_finds_split_rule_read():
+    src = (
+        "from .cores import _split, SPLIT_POINTS\n"
+        "if ws.points >= cores.TWO_WORKER_POINTS:\n"
+        "    pass\n"
+        "with cores._helper_lock:\n"
+        "    n = _usable_cores()\n"
+        "_MY_SPLIT_POINTS = 32**3\n"
+        "_split(ws.points, task, a, b)\n"
+    )
+    assert split_rule_reads(src) == [
+        "SPLIT_POINTS (line 1)", "TWO_WORKER_POINTS (line 2)", "_helper_lock (line 4)",
+        "_usable_cores (line 5)", "_MY_SPLIT_POINTS (line 6)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cores.py"], ids=lambda p: p.name
+)
+def test_only_cores_decides_a_split(path):
+    assert split_rule_reads(path.read_text()) == []
 
 
 # pyproject.toml admits Python >= 3.10.

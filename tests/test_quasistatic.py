@@ -277,12 +277,14 @@ def test_eta_study_pool_with_a_thread_per_core_keeps_the_step_helper_off(
     threads, qs_system, grid16, two_cores, monkeypatch
 ):
     # _eta_run rejects variable weights, so a stand-in takes one
-    # variable-weight step in each task and records the threads of its slots
+    # variable-weight step in each task and records the threads of its
+    # slots; with the slot threshold at 16^3 the step splits where allowed
     import threading
 
     import maxmat.quasistatic as qs
-    from maxmat import NumericalAbort, step
+    from maxmat import NumericalAbort, cores, step
 
+    monkeypatch.setattr(cores, "SPLIT_POINTS", grid16.n**3)
     state0 = make_initial(qs_system, tilted_magnetization(qs_system.domain))
     var_sys = SimSystem(grid16, smooth_coefficients(grid16), qs_system.domain, qs_system.model)
     var_state = make_initial(var_sys, tilted_magnetization(var_sys.domain))

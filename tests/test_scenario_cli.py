@@ -384,11 +384,15 @@ class TestCli:
         assert fields.shape == (9, 16, 16, 16)
         assert grid.n == 16
 
-    def test_variable_weight_run_is_byte_identical_without_the_step_helper(self, tmp_path):
-        # the variable-weight RK4 step splits each stage's two slots over a
-        # helper thread when it can take it; held, both run inline
+    def test_variable_weight_run_is_byte_identical_without_the_step_helper(
+        self, tmp_path, two_cores, monkeypatch
+    ):
+        # with the slot threshold at the scenario's 16^3, the variable-weight
+        # RK4 step splits each stage's two slots over a helper thread when it
+        # can take it; held, both run inline
         from maxmat import cores
 
+        monkeypatch.setattr(cores, "SPLIT_POINTS", 16**3)
         m = base_mapping()
         m["coefficients"] = {"profile": "smooth_bump", "center": [0.5, 0.5, 0.5],
                              "radius": 0.22, "amplitude1": 0.35, "amplitude2": 0.25,
@@ -402,6 +406,8 @@ class TestCli:
             with cores._helper_lock if held else contextlib.nullcontext():
                 assert main(["run", str(path), "--out-dir", str(out)]) == 0
             blobs.append((out / "var_monitor.csv").read_bytes())
+        # the helper starts at the first split handed to it: the free run's
+        assert cores._helper is not None
         assert blobs[0] == blobs[1]
         assert len(blobs[0].decode().splitlines()) == 2 + 3  # schema, header, steps 0, 5, 10
 
