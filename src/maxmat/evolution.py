@@ -179,8 +179,8 @@ class IntegratorConfig:
     scheme: str = "rk4"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.t_end / self.dt < 2**53:
             raise ValueError(f"t_end/dt must lie in [0, 2**53), got {self.t_end}/{self.dt}")
         if self.scheme not in ("rk4", "lawson_exp"):
@@ -750,8 +750,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if self.n_mol < 1:
             raise ValueError(f"low-pass index must be >= 1, got {self.n_mol}")
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not 0 < self.window < np.inf:
+            raise ValueError(f"window must be positive and finite, got {self.window}")
         if self.n_steps < 2:
             raise ValueError(f"need at least 2 quadrature steps, got {self.n_steps}")
         if not 0 < self.tol < 1:

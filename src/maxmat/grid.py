@@ -42,8 +42,8 @@ class Grid3:
             raise ValueError(f"grid needs n >= 8 points per axis, got n={self.n}")
         if self.n & (self.n - 1) != 0:
             raise ValueError(f"n must be a power of two, got n={self.n}")
-        if not self.box_len > 0:
-            raise ValueError(f"box_len must be positive, got {self.box_len}")
+        if not 0 < self.box_len < np.inf:
+            raise ValueError(f"box_len must be positive and finite, got {self.box_len}")
 
     @property
     def spacing(self) -> float:

@@ -7,12 +7,12 @@ from the half-spectrum of b = -div(k v): the projector takes grad phi,
 and the constraint monitor (:func:`_curl_free_norm`) its squared
 weighted norm, <b, phi> by parts, with no gradient field. Only the solve
 tells the weight classes apart, except that the projector folds a
-constant weight into the scale of the divergence instead of forming k v
-(:func:`_constant_gradient_hat`, which also serves callers that hold a
-spectrum). A constant weight is the multiplier b / (k |xi|^2); a
-variable one needs preconditioned conjugate gradients,
-with the constant-coefficient inverse Laplacian as preconditioner, to
-the relative residual ``PCG_RTOL`` within ``PCG_MAX_ITER`` iterations.
+constant weight into the scale of the divergence instead of forming k v,
+and so also takes a constant-weight field as its half-spectrum. A
+constant weight is the multiplier b / (k |xi|^2); a variable one needs
+preconditioned conjugate gradients, with the constant-coefficient
+inverse Laplacian as preconditioner, to the relative residual
+``PCG_RTOL`` within ``PCG_MAX_ITER`` iterations.
 
 The CG iterates are half-spectra (rfft layout). The preconditioner is
 then the multiplier 1/|xi|^2, inner products and norms are Parseval
@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cores import _split
-from .grid import Coefficients, require_same_grid, weighted_norm
+from .grid import Coefficients, weighted_norm
 from .spectral import FourierWorkspace
 
 # PCG stops once the residual is below PCG_RTOL times the source norm.
@@ -57,31 +57,28 @@ class ProjectionSolveError(RuntimeError):
 
 
 def project_complement(v: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
-    """Gradient (curl-free) part of ``v`` in the kappa-weighted splitting.
+    """Gradient (curl-free) part of ``v`` in the kappa-weighted splitting, in
+    the form given: a physical 3-vector field, or on a constant weight its
+    half-spectrum.
 
     Solves -div(kappa grad phi) = -div(kappa v) with mean-zero gauge and
-    returns grad phi. Raises :class:`ProjectionSolveError` if PCG stalls.
+    returns grad phi. A constant weight scales the divergence, so no
+    kappa * v is formed. Raises :class:`ProjectionSolveError` if PCG stalls.
     """
-    if v.shape != (3,) + ws.grid.shape:
-        raise ValueError(f"expected a 3-vector field on {ws.grid.shape}, got {v.shape}")
-    require_same_grid(v, kappa)
+    spectral = np.iscomplexobj(v)
+    shape = ws.spectral_shape if spectral else ws.grid.shape
+    if v.shape != (3,) + shape or kappa.shape != ws.grid.shape:
+        raise ValueError(f"expected a 3-vector field on {ws.grid.shape} or its half-spectrum "
+                         f"and a weight on the grid, got {v.shape} and {kappa.shape}")
     if float(np.ptp(kappa)) == 0.0:
-        return ws.inverse(_constant_gradient_hat(ws.forward(v), kappa, ws))
-    # The spectrum is not named, so it is freed before the solve runs.
-    b = ws.hermitian_planes(ws.div_hat(ws.forward(kappa * v), -1.0))
-    return ws.inverse(ws.grad_hat(_potential_hat(b, kappa, ws)))
-
-
-def _constant_gradient_hat(
-    v_hat: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace
-) -> np.ndarray:
-    """Half-spectrum of the gradient (curl-free) part of the 3-vector field
-    with half-spectrum ``v_hat`` in the constant weight ``kappa``.
-
-    The constant is a scale on the divergence, so no kappa * v is formed.
-    """
-    b = ws.hermitian_planes(ws.div_hat(v_hat, -float(kappa.flat[0])))
-    return ws.grad_hat(_potential_hat(b, kappa, ws))
+        b = ws.div_hat(v if spectral else ws.forward(v), -float(kappa.flat[0]))
+    elif spectral:
+        raise ValueError("a half-spectrum is projected on a constant weight only")
+    else:
+        # The spectrum is not named, so it is freed before the solve runs.
+        b = ws.div_hat(ws.forward(kappa * v), -1.0)
+    g_hat = ws.grad_hat(_potential_hat(ws.hermitian_planes(b), kappa, ws))
+    return g_hat if spectral else ws.inverse(g_hat)
 
 
 def _potential_hat(b: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -> np.ndarray:
@@ -130,17 +127,21 @@ def _potential_hat(b: np.ndarray, kappa: np.ndarray, ws: FourierWorkspace) -> np
 
 
 def project_P(state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace) -> np.ndarray:
-    """Divergence-free part of an EM state, slot by slot in its own weight."""
-    return state - project_complement_state(state, coeffs, ws)
+    """Divergence-free part of an EM state, slot by slot in its own weight,
+    in the form given (:func:`project_complement`)."""
+    q = project_complement_state(state, coeffs, ws)
+    return np.subtract(state, q, out=q)
 
 
 def project_complement_state(
     state: np.ndarray, coeffs: Coefficients, ws: FourierWorkspace
 ) -> np.ndarray:
     """Curl-free part of an EM state, slot by slot in its own weight
-    (:func:`_each_slot`)."""
-    if state.shape != (6,) + ws.grid.shape:
-        raise ValueError(f"expected an EM state on {ws.grid.shape}, got {state.shape}")
+    (:func:`_each_slot`), in the form given (:func:`project_complement`)."""
+    shape = ws.spectral_shape if np.iscomplexobj(state) else ws.grid.shape
+    if state.shape != (6,) + shape:
+        raise ValueError(f"expected an EM state on {ws.grid.shape} or its half-spectrum, "
+                         f"got {state.shape}")
     out = np.empty_like(state)
 
     def project(i: int, s: slice, kappa: np.ndarray) -> None:

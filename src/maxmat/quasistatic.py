@@ -41,7 +41,7 @@ from .evolution import (
     run,
 )
 from .grid import ball_indicator, matter_l2_norm
-from .helmholtz import _constant_gradient_hat, _potential_hat, project_complement
+from .helmholtz import _potential_hat, project_P, project_complement
 
 
 def with_eta(system: SimSystem, eta: float) -> SimSystem:
@@ -133,11 +133,9 @@ class EtaStudyConfig:
                 raise ValueError(f"eta values must lie in (0, 1], got {eta}")
         if any(a <= b for a, b in zip(self.eta_list, self.eta_list[1:])):
             raise ValueError("eta_list must be strictly decreasing")
-        if self.radius <= 0:
-            raise ValueError(f"observation radius must be positive, got {self.radius}")
-        for name in ("dt", "sample_dt", "stiff_dt_factor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("radius", "t_obs", "dt", "sample_dt", "stiff_dt_factor"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.scheme not in ("rk4", "lawson_exp"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         k = self.t_obs / self.sample_dt
@@ -168,19 +166,14 @@ def _pu_local_norm(system: SimSystem, state: SimState, ball: np.ndarray) -> floa
     """L2 norm over the ball of the divergence-free part of the state's
     field, zero mode removed; constant coefficients only.
 
-    On constant weights the projection is a multiplier, so it acts on the
-    held spectrum (a physical field is forward-transformed first): per
-    slot, u minus its curl-free part. One 6-component inverse transform
-    follows, so a sample makes 6 scalar transforms from a spectral state
-    and 12 from a physical one.
+    The projection acts on the field's half-spectrum, the one held or the
+    forward transform of a physical field, and one 6-component inverse
+    transform follows: a sample makes 6 scalar transforms from a spectral
+    state and 12 from a physical one.
     """
-    ws = system.ws
-    u_hat = state.spectrum(ws)
-    pu_hat = np.empty_like(u_hat)
-    for s, kappa in zip((slice(0, 3), slice(3, 6)), (system.coeffs.kappa1, system.coeffs.kappa2)):
-        np.subtract(u_hat[s], _constant_gradient_hat(u_hat[s], kappa, ws), out=pu_hat[s])
+    pu_hat = project_P(state.spectrum(system.ws), system.coeffs, system.ws)
     pu_hat[:, 0, 0, 0] = 0.0
-    return matter_l2_norm(ws.inverse(pu_hat)[:, ball], system.grid)
+    return matter_l2_norm(system.ws.inverse(pu_hat)[:, ball], system.grid)
 
 
 def _eta_run(

@@ -472,10 +472,12 @@ def parse_scenario(mapping, name: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("file", f"no such scenario file: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("file", f"cannot read scenario file {path}: {exc}") from exc
+    try:
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError("file", f"unparseable scenario: {exc}") from exc
     return parse_scenario(raw, name=path.stem)

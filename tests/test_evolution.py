@@ -21,6 +21,8 @@ import yaml
 from maxmat import (
     BlochModel,
     Coefficients,
+    EtaStudyConfig,
+    FixedPointConfig,
     FreePropagator,
     Grid3,
     IntegratorConfig,
@@ -1150,6 +1152,22 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=3e-3, t_end=1.0).n_steps and None
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-300, t_end=1e10)  # more steps than a float counts
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: IntegratorConfig(dt=bad, t_end=1.0),
+    lambda bad: Grid3(8, bad),
+    lambda bad: FixedPointConfig(n_mol=4, window=bad, n_steps=20),
+    lambda bad: EtaStudyConfig(t_obs=bad),
+    lambda bad: EtaStudyConfig(dt=bad),
+    lambda bad: EtaStudyConfig(radius=bad),
+], ids=["IntegratorConfig.dt", "Grid3.box_len", "FixedPointConfig.window",
+        "EtaStudyConfig.t_obs", "EtaStudyConfig.dt", "EtaStudyConfig.radius"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_configs_reject_non_finite_values(make, bad):
+    # an infinite dt made n_steps 0, so run returned the t = 0 state as final
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
 
 
 class Quadratic(MatterModel):

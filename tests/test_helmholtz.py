@@ -289,6 +289,42 @@ def test_constraint_residual_is_the_projection_formula(grid16, ws16, rng, monkey
     assert got == pytest.approx(reference_residual(noise, shift, co, ws16), rel=rel)
 
 
+@pytest.mark.parametrize("k", [(1.0, 1.0), (1.7, 0.6)])
+def test_projectors_keep_the_half_spectrum_form(k, grid16, ws16, rng):
+    # on a constant weight a half-spectrum comes back as a half-spectrum:
+    # the complements' inverses are the physical form's bytes, and P is the
+    # spectrum minus the complement, the physical P to one transform's roundoff
+    co = Coefficients.constant(grid16, *k)
+    u = random_state(rng, grid16)
+    u_hat = ws16.forward(u)
+    g_hat = project_complement(u_hat[3:6], co.kappa2, ws16)
+    assert g_hat.shape == u_hat[3:6].shape and np.iscomplexobj(g_hat)
+    assert ws16.inverse(g_hat).tobytes() == project_complement(u[3:6], co.kappa2, ws16).tobytes()
+    q_hat = project_complement_state(u_hat, co, ws16)
+    assert ws16.inverse(q_hat).tobytes() == project_complement_state(u, co, ws16).tobytes()
+    p_hat = project_P(u_hat, co, ws16)
+    assert p_hat.tobytes() == (u_hat - q_hat).tobytes()
+    np.testing.assert_allclose(ws16.inverse(p_hat), project_P(u, co, ws16), rtol=0,
+                               atol=1e-14 * np.abs(u).max())
+
+
+def test_half_spectrum_needs_a_constant_weight_and_its_shape(grid16, ws16, rng):
+    u_hat = ws16.forward(random_state(rng, grid16))
+    co = smooth_coefficients(grid16)
+    for call in (lambda: project_complement(u_hat[0:3], co.kappa1, ws16),
+                 lambda: project_P(u_hat, co, ws16)):
+        with pytest.raises(ValueError, match="constant weight"):
+            call()
+    const = Coefficients.constant(grid16, 1.0, 1.0)
+    full = np.fft.fftn(random_state(rng, grid16), axes=(-3, -2, -1))
+    for call in (lambda: project_complement(full[0:3], const.kappa1, ws16),
+                 lambda: project_complement_state(full, const, ws16),
+                 lambda: project_P(u_hat[..., :-1], const, ws16),
+                 lambda: project_complement(u_hat[0:3].real, const.kappa1, ws16)):
+        with pytest.raises(ValueError, match="half-spectrum"):
+            call()
+
+
 def test_complement_state_applies_per_slot(grid16, ws16, rng):
     co = smooth_coefficients(grid16)
     u = random_state(rng, grid16)
